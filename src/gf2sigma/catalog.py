@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .gf2poly import Poly, _bar, _divmod, _mul, _popcount, _pow, _star
+from .gf2poly import Poly, _bar, _divide_out, _mul, _pow, _star
 from .factorizer import _is_irreducible_mask
-from .sigma import _geom_sum
+from .sigma import _geom_sums_even
 
 __all__ = [
     "AdmissibilityReport",
@@ -221,6 +221,20 @@ def _resolve_partners(entries: list[tuple[str, Poly, str, tuple[int, ...]]]) -> 
 _BAR_PAIRS_REVERSED = {v: k for k, v in _BAR_PAIRS.items()}
 
 
+def _shape_mask(power: Callable[[int, int], int], exponents: Sequence[int], bases: Sequence[int]) -> int:
+    """Multiply power(q, e) over the bases q and exponents e of a shape.
+
+    The shape x^a (x+1)^b prod M_i^c_i prod S_j^d_j has the bases
+    (x, x+1, M_1, .., S_1, ..) and the exponents (a, b, c_1, .., d_1, ..).
+    power = _pow gives the polynomial, power = _geom_sum gives its sigma.
+    """
+    acc = 1
+    for q, e in zip(bases, exponents):
+        if e:
+            acc = _mul(acc, power(q, e))
+    return acc
+
+
 def build_catalog() -> Catalog:
     """Construct and verify the full catalog; raises CatalogError on any violation."""
     raw: list[tuple[str, Poly, str, tuple[int, ...]]] = []
@@ -246,17 +260,11 @@ def build_catalog() -> Catalog:
     if degree_sum != EXPECTED_DEGREE_SUM:
         raise CatalogError(f"irreducible roster degree sum {degree_sum} != {EXPECTED_DEGREE_SUM}")
 
-    m_polys = [poly.mask for _, poly, _, _ in raw[:13]]
-    s_polys = [poly.mask for _, poly, _, _ in raw[13:28]]
+    # x, x+1, M_1..M_5, S_1..S_8
+    bases = [2, 3] + [poly.mask for _, poly, _, _ in raw[:5] + raw[13:21]]
     for name, a, b, c_i, d_j in _PERFECT_PARAMS:
-        m = _mul(1 << a, _pow(3, b))
-        for q, e in zip(m_polys[:5], c_i):
-            if e:
-                m = _mul(m, _pow(q, e))
-        for q, e in zip(s_polys[:8], d_j):
-            if e:
-                m = _mul(m, _pow(q, e))
-        raw.append((name, Poly(m), "perfect", (a, b) + c_i + d_j))
+        params = (a, b) + c_i + d_j
+        raw.append((name, Poly(_shape_mask(_pow, params, bases)), "perfect", params))
 
     if len({poly for _, poly, _, _ in raw}) != len(raw):
         raise CatalogError("catalog entries are not pairwise distinct")
@@ -277,17 +285,20 @@ def build_catalog() -> Catalog:
 # ---------------------------------------------------------------------------
 
 
-def _factors_over(value: int, allowed: Iterable[int]) -> bool:
-    """True iff every prime factor of value lies in the allowed set."""
-    for q in allowed:
-        while True:
-            quo, rem = _divmod(value, q)
-            if rem:
-                break
-            value = quo
-            if value == 1:
-                return True
-    return value == 1
+def _factor_over(value: int, masks: Iterable[int]) -> list[tuple[int, int]] | None:
+    """Factor a nonzero value over the prime masks by trial division.
+
+    Returns [(q, e), ...] in the order of masks, or None when value has a
+    prime factor outside them.
+    """
+    out = []
+    for q in masks:
+        if value == 1:
+            break
+        value, e = _divide_out(value, q)
+        if e:
+            out.append((q, e))
+    return out if value == 1 else None
 
 
 @dataclass(frozen=True)
@@ -349,15 +360,12 @@ def check_admissible(family: Iterable[Poly], h_max: int = DEFAULT_H_MAX) -> Admi
     # (ii) some sigma(x^2h) or sigma((x+1)^2h) factors entirely inside the family
     cond_ii = None
     if masks:
-        sx = 1
-        sx1 = 1
-        for h in range(1, h_max + 1):
-            sx = _mul(sx, 4) ^ 2 ^ 1  # sigma(x^2h) from sigma(x^(2h-2))
-            sx1 = _mul(sx1, _mul(3, 3)) ^ 3 ^ 1  # same on the x+1 side
-            if _factors_over(sx, masks):
+        sums = zip(_geom_sums_even(2, h_max), _geom_sums_even(3, h_max))
+        for h, (sx, sx1) in enumerate(sums, start=1):
+            if _factor_over(sx, masks) is not None:
                 cond_ii = (h, "x")
                 break
-            if _factors_over(sx1, masks):
+            if _factor_over(sx1, masks) is not None:
                 cond_ii = (h, "x+1")
                 break
 
@@ -366,14 +374,12 @@ def check_admissible(family: Iterable[Poly], h_max: int = DEFAULT_H_MAX) -> Admi
     witnesses: dict[str, dict | None] = {}
     for p, m in zip(members, masks):
         key = str(p)
-        if _factors_over(m ^ 1, with_linear):
+        if _factor_over(m ^ 1, with_linear) is not None:
             witnesses[key] = {"kind": "one_plus_factors"}
             continue
         found = None
-        acc = 1
-        for h in range(1, h_max + 1):
-            acc = _mul(_mul(acc, m) ^ 1, m) ^ 1  # sigma(T^2h) from sigma(T^(2h-2))
-            if _factors_over(acc, with_linear):
+        for h, acc in enumerate(_geom_sums_even(m, h_max), start=1):
+            if _factor_over(acc, with_linear) is not None:
                 found = {"kind": "sigma_even_power", "h": h}
                 break
         witnesses[key] = found

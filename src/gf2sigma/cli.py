@@ -266,6 +266,17 @@ def _emit(data: dict, fmt: str, text_lines: list[str]) -> None:
         print("\n".join(text_lines))
 
 
+def _h_max(text: str) -> int:
+    """argparse type of --h-max: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _normalize_name(raw: str) -> str:
     s = raw.strip().upper().replace("_", "")
     if len(s) >= 2 and s[0] in "MST" and s[1:].isdigit():
@@ -514,12 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("admissible", parents=[fmt], help="check admissibility conditions")
     p.add_argument("names", nargs="+", metavar="NAME",
                    help="roster members (M_1..M_13, S_1..S_15) or F for the whole family")
-    p.add_argument("--h-max", type=int, default=DEFAULT_H_MAX)
+    p.add_argument("--h-max", type=_h_max, default=DEFAULT_H_MAX)
     p.set_defaults(fn=_cmd_admissible)
 
     p = sub.add_parser("tables", parents=[fmt], help="sigma factor tables")
     p.add_argument("table", choices=("x2h", "mersenne", "s"))
-    p.add_argument("--h-max", type=int, default=DEFAULT_H_MAX)
+    p.add_argument("--h-max", type=_h_max, default=DEFAULT_H_MAX)
     p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser("theorem", parents=[fmt],

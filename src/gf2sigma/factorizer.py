@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .gf2poly import Poly, _divmod, _gcd, _mod, _mul, _derivative, _popcount, _pow, _sqr, _sqr_mod, _sqrt
+from .gf2poly import Poly, _divide_out, _divmod, _gcd, _mod, _mul, _derivative, _popcount, _pow, _sqr_mod, _sqrt
 
 __all__ = ["Factorization", "factor", "irreducibles", "is_irreducible", "is_squarefree", "omega", "rad"]
 
@@ -114,13 +114,7 @@ def _factor_into(f: int, mult: int, counts: dict[int, int]) -> None:
         return
     s = _divmod(f, _gcd(f, fp))[0]  # product of the odd-multiplicity primes
     for q in _factor_squarefree(s):
-        e = 0
-        while True:
-            quo, rem = _divmod(f, q)
-            if rem:
-                break
-            f = quo
-            e += 1
+        f, e = _divide_out(f, q)
         counts[q] = counts.get(q, 0) + e * mult
     _factor_into(f, mult, counts)  # leftover: the even-multiplicity part
 

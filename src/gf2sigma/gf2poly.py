@@ -17,6 +17,11 @@ import re
 
 __all__ = ["Poly", "ParseError", "gcd", "parse", "parse_expr", "X", "ONE", "ZERO"]
 
+# Largest degree a '^' power, a '*' product or an 'x^k' term may reach in
+# parsed text.  Text such as "x^1000000000" is short but its polynomial is
+# not, so the parsers check degrees before computing.
+MAX_PARSE_DEGREE = 1 << 16
+
 # int.bit_count needs 3.11; fall back to counting the binary string on 3.10
 _popcount = getattr(int, "bit_count", None) or (lambda m: bin(m).count("1"))
 
@@ -76,6 +81,17 @@ def _divmod(a: int, b: int) -> tuple[int, int]:
         a ^= b << shift
         da = a.bit_length()
     return q, a
+
+
+def _divide_out(a: int, q: int) -> tuple[int, int]:
+    """(a / q^e, e) for the largest e such that q^e divides the nonzero a."""
+    e = 0
+    while True:
+        quo, rem = _divmod(a, q)
+        if rem:
+            return a, e
+        a = quo
+        e += 1
 
 
 def _mod(a: int, b: int) -> int:
@@ -139,6 +155,11 @@ def _star(a: int) -> int:
 # parsing and printing
 # ---------------------------------------------------------------------------
 
+def _check_degree(degree: int, text: str, pos: int) -> None:
+    if degree > MAX_PARSE_DEGREE:
+        raise ParseError(f"degree {degree} exceeds {MAX_PARSE_DEGREE}", text, pos)
+
+
 _TERM_RE = re.compile(r"^(?:0|1|x(?:\^(\d+))?)$")
 _HEX_RE = re.compile(r"^0[xX][0-9a-fA-F]+$")
 
@@ -166,7 +187,9 @@ def _parse_mask(text: str) -> int:
         elif m.group(1) is None:
             mask ^= 2
         else:
-            mask ^= 1 << int(m.group(1))
+            k = int(m.group(1))
+            _check_degree(k, text, pos + len(chunk) - len(chunk.lstrip()))
+            mask ^= 1 << k
         pos += len(chunk) + 1
     return mask
 
@@ -224,8 +247,10 @@ class _ExprParser:
     def term(self) -> int:
         mask = self.factor()
         while self.peek() == "*":
-            self.next()
-            mask = _mul(mask, self.factor())
+            _, pos = self.next()
+            other = self.factor()
+            _check_degree(mask.bit_length() - 1 + other.bit_length() - 1, self.text, pos)
+            mask = _mul(mask, other)
         return mask
 
     def factor(self) -> int:
@@ -235,7 +260,9 @@ class _ExprParser:
             tok, pos = self.next()
             if not tok.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer, got {tok!r}", self.text, pos)
-            mask = _pow(mask, int(tok))
+            k = int(tok)
+            _check_degree((mask.bit_length() - 1) * k, self.text, pos)
+            mask = _pow(mask, k)
         return mask
 
     def atom(self) -> int:

@@ -26,11 +26,12 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
-from .gf2poly import Poly, _bar, _divmod, _mul, _pow
+from .gf2poly import Poly, _bar, _mul, _pow
 from .factorizer import Factorization, _irreducible_masks
-from .sigma import _geom_sum
-from .catalog import DEFAULT_H_MAX, Catalog, build_catalog
+from .sigma import _geom_sum, _geom_sums_even, _split_2adic
+from .catalog import DEFAULT_H_MAX, Catalog, _factor_over, _shape_mask, build_catalog
 
 __all__ = [
     "ExponentTuple",
@@ -53,11 +54,19 @@ __all__ = [
 SCAN_CEILING_ENV = "GF2SIGMA_SCAN_CEILING"
 DEFAULT_SCAN_CEILING = 24
 
-# enumeration ranges for the 2-adic exponent parameters
-_U_RANGE = (1, 3, 5, 7, 9, 13, 15)
-_U1_RANGE = (1, 3, 5, 7, 15)
-_U23_RANGE = (1, 3)
-_V1_RANGE = (1, 3)
+
+def _box_pairs(top: int, odds: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+    """Map each exponent 2^t s - 1 with 0 <= t <= top and s in odds to (t, s), t outermost."""
+    return {(1 << t) * s - 1: (t, s) for t in range(top + 1) for s in odds}
+
+
+# The parameter box of the search, one entry per prime of the shape: x and
+# x+1 share _X_PAIRS, _M_PAIRS lists M_1..M_5 and S_2..S_8 share _S_TAIL_PAIRS.
+_X_PAIRS = _box_pairs(4, (1, 3, 5, 7, 9, 13, 15))
+_M_PAIRS = [_box_pairs(4, (1, 3, 5, 7, 15)), _box_pairs(3, (1, 3)), _box_pairs(3, (1, 3)),
+            _box_pairs(5, (1,)), _box_pairs(5, (1,))]
+_S1_PAIRS = _box_pairs(3, (1, 3))
+_S_TAIL_PAIRS = _box_pairs(1, (1,))
 
 
 class SearchError(RuntimeError):
@@ -72,13 +81,6 @@ def _cat() -> Catalog:
 # ---------------------------------------------------------------------------
 # exponent tuples and the sigma exponent formulas
 # ---------------------------------------------------------------------------
-
-
-def _split_2adic(k: int) -> tuple[int, int]:
-    """Write k + 1 = 2^t * s with s odd and return (t, s)."""
-    n = k + 1
-    t = (n & -n).bit_length() - 1
-    return t, n >> t
 
 
 @dataclass(frozen=True)
@@ -129,17 +131,11 @@ class ExponentTuple:
     def validate(self) -> None:
         """Check membership in the bounded parameter ranges of the search."""
         t = self
+        pairs = [(t.n, t.u), (t.m, t.v), *zip(t.n_i, t.u_i), *zip(t.m_j, t.v_j)]
+        boxes = [_X_PAIRS, _X_PAIRS, *_M_PAIRS, _S1_PAIRS, *[_S_TAIL_PAIRS] * 7]
         ok = (
-            0 <= t.n <= 4 and 0 <= t.m <= 4 and t.u in _U_RANGE and t.v in _U_RANGE
-            and len(t.n_i) == 5 and len(t.u_i) == 5 and len(t.m_j) == 8 and len(t.v_j) == 8
-            and 0 <= t.n_i[0] <= 4 and t.u_i[0] in _U1_RANGE
-            and 0 <= t.n_i[1] <= 3 and t.u_i[1] in _U23_RANGE
-            and 0 <= t.n_i[2] <= 3 and t.u_i[2] in _U23_RANGE
-            and 0 <= t.n_i[3] <= 5 and t.u_i[3] == 1
-            and 0 <= t.n_i[4] <= 5 and t.u_i[4] == 1
-            and 0 <= t.m_j[0] <= 3 and t.v_j[0] in _V1_RANGE
-            and all(0 <= mj <= 1 for mj in t.m_j[1:])
-            and all(vj == 1 for vj in t.v_j[1:])
+            (len(t.n_i), len(t.u_i), len(t.m_j), len(t.v_j)) == (5, 5, 8, 8)
+            and all(pair in box.values() for pair, box in zip(pairs, boxes))
         )
         if not ok:
             raise ValueError(f"exponent tuple outside the supported ranges: {t}")
@@ -167,58 +163,82 @@ def _chi(val: int, *targets: int) -> int:
     return 1 if val in targets else 0
 
 
+# The exponent formulas below each read only the parameters they need, so
+# the pipeline steps evaluate them as soon as those parameters are fixed.
+
+
+def _one_plus_p_part(ks: tuple[int, ...], weights: tuple[int, ...]) -> int:
+    """Sum of (2^k - 1) * w over the pairs (k, w).
+
+    Each p^(2^k s - 1) in A puts (1+p)^(2^k - 1) into sigma(A); w is the
+    exponent of the counted prime in 1+p.
+    """
+    return sum(((1 << k) - 1) * w for k, w in zip(ks, weights))
+
+
+def _gamma1(n: int, u: int, m: int, v: int, n2: int, u2: int, n3: int, u3: int,
+            m_j: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """Exponent of M_1 in sigma(A); nu_j is the M_1 exponent in S_j + 1."""
+    return (
+        _one_plus_p_part(m_j, nu)
+        + (_chi(u, 3, 9, 15) << n) + (_chi(v, 3, 9, 15) << m)
+        + (_chi(u2, 3) << n2) + (_chi(u3, 3) << n3)
+    )
+
+
+def _gamma2(n: int, u: int, m: int, v: int, n1: int, u1: int) -> int:
+    """Exponent of M_2 in sigma(A), and of M_3 too."""
+    return (_chi(u, 7) << n) + (_chi(v, 7) << m) + (_chi(u1, 7) << n1)
+
+
+def _gamma4(n: int, u: int, m: int, v: int, n1: int, u1: int, n3: int, u3: int,
+            m1: int, v1: int) -> int:
+    """Exponent of M_4 in sigma(A).
+
+    The exponent of M_5 is its bar image: swap (n, u) with (m, v) and pass
+    (n2, u2) for (n3, u3), since bar exchanges x with x+1, M_2 with M_3 and
+    M_4 with M_5.
+    """
+    return (
+        (_chi(u, 5, 15) << n) + (_chi(v, 15) << m) + (_chi(u1, 15) << n1)
+        + (_chi(u3, 3) << n3) + (_chi(v1, 3) << m1)
+    )
+
+
+def _deltas(n: int, u: int, m: int, v: int, n1: int, u1: int) -> tuple[int, ...]:
+    """Exponents of S_1..S_8 in sigma(A)."""
+    return (
+        (_chi(u, 15) << n) + (_chi(v, 15) << m) + (_chi(u1, 3, 15) << n1),
+        _chi(u1, 7) << n1,
+        _chi(u, 13) << n,
+        _chi(u, 9) << n,
+        _chi(v, 9) << m,
+        _chi(v, 13) << m,
+        _chi(u1, 15) << n1,
+        _chi(u1, 5, 15) << n1,
+    )
+
+
 def compute_sigma_exponents(t: ExponentTuple) -> SigmaExponents:
     """Evaluate the closed-form exponents of the tracked primes in sigma(A)."""
     t.validate()
     cat = _cat()
-    m_ab = [e.params for e in cat.mersennes[:5]]  # (a_i, b_i)
-    s_abc = [e.params for e in cat.stypes[:8]]  # (alpha_j, beta_j, nu_j)
+    a_i, b_i = zip(*(e.params for e in cat.mersennes[:5]))
+    alpha_j, beta_j, nu_j = zip(*(e.params for e in cat.stypes[:8]))
 
     n, u, m, v = t.n, t.u, t.m, t.v
-    n1, u1 = t.n_i[0], t.u_i[0]
-    n2, u2 = t.n_i[1], t.u_i[1]
-    n3, u3 = t.n_i[2], t.u_i[2]
+    n1, n2, n3 = t.n_i[:3]
+    u1, u2, u3 = t.u_i[:3]
     m1, v1 = t.m_j[0], t.v_j[0]
 
-    xi1 = _chi(u, 3, 9, 15)
-    xi2 = _chi(v, 3, 9, 15)
-    xi3 = _chi(u, 5, 15)
-    xi4 = _chi(v, 5, 15)
-
-    alpha = (
-        (1 << m) - 1
-        + sum(((1 << ni) - 1) * ab[0] for ni, ab in zip(t.n_i, m_ab))
-        + sum(((1 << mj) - 1) * abc[0] for mj, abc in zip(t.m_j, s_abc))
-    )
-    beta = (
-        (1 << n) - 1
-        + sum(((1 << ni) - 1) * ab[1] for ni, ab in zip(t.n_i, m_ab))
-        + sum(((1 << mj) - 1) * abc[1] for mj, abc in zip(t.m_j, s_abc))
-    )
-    g1 = (
-        sum(((1 << mj) - 1) * abc[2] for mj, abc in zip(t.m_j, s_abc))
-        + (xi1 << n) + (xi2 << m)
-        + (_chi(u2, 3) << n2) + (_chi(u3, 3) << n3)
-    )
-    g2 = (_chi(u, 7) << n) + (_chi(v, 7) << m) + (_chi(u1, 7) << n1)
-    g4 = (
-        (xi3 << n) + (_chi(v, 15) << m) + (_chi(u1, 15) << n1)
-        + (_chi(u3, 3) << n3) + (_chi(v1, 3) << m1)
-    )
-    g5 = (
-        (_chi(u, 15) << n) + (xi4 << m) + (_chi(u1, 15) << n1)
-        + (_chi(u2, 3) << n2) + (_chi(v1, 3) << m1)
-    )
-    d1 = (_chi(u, 15) << n) + (_chi(v, 15) << m) + (_chi(u1, 3, 15) << n1)
-    d2 = _chi(u1, 7) << n1
-    d3 = _chi(u, 13) << n
-    d4 = _chi(u, 9) << n
-    d5 = _chi(v, 9) << m
-    d6 = _chi(v, 13) << m
-    d7 = _chi(u1, 15) << n1
-    d8 = _chi(u1, 5, 15) << n1
-
-    return SigmaExponents(alpha, beta, (g1, g2, g2, g4, g5), (d1, d2, d3, d4, d5, d6, d7, d8))
+    # 1 + (x+1) = x and 1 + x = x+1
+    alpha = _one_plus_p_part((m, *t.n_i, *t.m_j), (1, *a_i, *alpha_j))
+    beta = _one_plus_p_part((n, *t.n_i, *t.m_j), (1, *b_i, *beta_j))
+    g1 = _gamma1(n, u, m, v, n2, u2, n3, u3, t.m_j, nu_j)
+    g2 = _gamma2(n, u, m, v, n1, u1)
+    g4 = _gamma4(n, u, m, v, n1, u1, n3, u3, m1, v1)
+    g5 = _gamma4(m, v, n, u, n1, u1, n2, u2, m1, v1)
+    return SigmaExponents(alpha, beta, (g1, g2, g2, g4, g5), _deltas(n, u, m, v, n1, u1))
 
 
 # ---------------------------------------------------------------------------
@@ -244,34 +264,16 @@ class SigmaTableRow:
         }
 
 
-def _family_factorization(value: int, family: list[tuple[int, str]]) -> list[tuple[int, int]] | None:
-    """Factor value over the family masks by trial division, or None."""
-    out = []
-    for q, _name in family:
-        e = 0
-        while True:
-            quo, rem = _divmod(value, q)
-            if rem:
-                break
-            value = quo
-            e += 1
-        if e:
-            out.append((q, e))
-    return out if value == 1 else None
-
-
 def _sigma_power_rows(bases: list[tuple[str, int]], h_max: int, catalog: Catalog) -> list[SigmaTableRow]:
-    family = [(e.poly.mask, e.name) for e in catalog.mersennes + catalog.stypes]
+    if h_max < 1:
+        raise ValueError("h_max must be >= 1")
+    family = [e.poly.mask for e in catalog.mersennes + catalog.stypes]
     rows = []
     for name, bm in bases:
         deg = bm.bit_length() - 1
-        acc = 1
-        bsq = _mul(bm, bm)
-        for h in range(1, h_max + 1):
-            if 2 * h * deg > 2 * h_max:
-                break
-            acc = _mul(acc, bsq) ^ bm ^ 1  # sigma(b^2h) from sigma(b^(2h-2))
-            fac = _family_factorization(acc, family)
+        # the degree bound 2h*deg <= 2*h_max
+        for h, acc in enumerate(_geom_sums_even(bm, h_max // deg), start=1):
+            fac = _factor_over(acc, family)
             if fac is not None:
                 rows.append(
                     SigmaTableRow(
@@ -310,78 +312,37 @@ def sigma_s_table(h_max: int = DEFAULT_H_MAX, catalog: Catalog | None = None) ->
 def pipeline_step1() -> list[tuple[int, ...]]:
     """Enumerate 8-tuples (n,u,m,v,n1,u1,n2,u2) with a >= 1, a <= b, c_2 = gamma_2."""
     out = []
-    for n in range(5):
-        for u in _U_RANGE:
-            a = (1 << n) * u - 1
-            if a < 1:
+    for a, (n, u) in _X_PAIRS.items():
+        if a < 1:
+            continue
+        for b, (m, v) in _X_PAIRS.items():
+            if a > b:
                 continue
-            for m in range(5):
-                for v in _U_RANGE:
-                    b = (1 << m) * v - 1
-                    if a > b:
-                        continue
-                    for n1 in range(5):
-                        for u1 in _U1_RANGE:
-                            g2 = (_chi(u, 7) << n) + (_chi(v, 7) << m) + (_chi(u1, 7) << n1)
-                            for n2 in range(4):
-                                for u2 in _U23_RANGE:
-                                    if (1 << n2) * u2 - 1 == g2:
-                                        out.append((n, u, m, v, n1, u1, n2, u2))
+            for n1, u1 in _M_PAIRS[0].values():
+                c2 = _M_PAIRS[1].get(_gamma2(n, u, m, v, n1, u1))
+                if c2:
+                    out.append((n, u, m, v, n1, u1, *c2))
     return out
 
 
 def pipeline_step2(step1: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extend to 18-tuples (.., d1..d8, m1, v1) with every d_j = delta_j."""
     out = []
-    for n, u, m, v, n1, u1, n2, u2 in step1:
-        d1 = (_chi(u, 15) << n) + (_chi(v, 15) << m) + (_chi(u1, 3, 15) << n1)
-        d2 = _chi(u1, 7) << n1
-        d3 = _chi(u, 13) << n
-        d4 = _chi(u, 9) << n
-        d5 = _chi(v, 9) << m
-        d6 = _chi(v, 13) << m
-        d7 = _chi(u1, 15) << n1
-        d8 = _chi(u1, 5, 15) << n1
-        if max(d2, d3, d4, d5, d6, d7, d8) > 1:
-            continue  # d_j = 2^{m_j} - 1 with m_j <= 1 for j >= 2
-        for m1 in range(4):
-            for v1 in _V1_RANGE:
-                if (1 << m1) * v1 - 1 == d1:
-                    out.append((n, u, m, v, n1, u1, n2, u2, d1, d2, d3, d4, d5, d6, d7, d8, m1, v1))
+    for fields in step1:
+        n, u, m, v, n1, u1, _, _ = fields
+        ds = _deltas(n, u, m, v, n1, u1)
+        if not _S_TAIL_PAIRS.keys() >= set(ds[1:]):
+            continue
+        d1 = _S1_PAIRS.get(ds[0])
+        if d1:
+            out.append((*fields, *ds, *d1))
     return out
 
 
-def _tuple_from_step3(fields: tuple[int, ...], n4: int, n5: int) -> ExponentTuple:
-    n, u, m, v, n1, u1, n2, u2, d1, d2, d3, d4, d5, d6, d7, d8, m1, v1 = fields
-    return ExponentTuple(
-        n=n, u=u, m=m, v=v,
-        n_i=(n1, n2, n2, n4, n5),
-        u_i=(u1, u2, u2, 1, 1),
-        m_j=(m1, d2, d3, d4, d5, d6, d7, d8),
-        v_j=(v1, 1, 1, 1, 1, 1, 1, 1),
-    )
-
-
-def _poly_from_tuple(t: ExponentTuple, catalog: Catalog) -> int:
-    m = _mul(_pow(2, t.a), _pow(3, t.b))
-    for e, c in zip(catalog.mersennes[:5], t.c):
-        if c:
-            m = _mul(m, _pow(e.poly.mask, c))
-    for e, d in zip(catalog.stypes[:8], t.d):
-        if d:
-            m = _mul(m, _pow(e.poly.mask, d))
-    return m
-
-
-def _sigma_from_tuple(t: ExponentTuple, catalog: Catalog) -> int:
-    s = _mul(_geom_sum(2, t.a), _geom_sum(3, t.b))
-    for e, c in zip(catalog.mersennes[:5], t.c):
-        if c:
-            s = _mul(s, _geom_sum(e.poly.mask, c))
-    for e, d in zip(catalog.stypes[:8], t.d):
-        if d:
-            s = _mul(s, _geom_sum(e.poly.mask, d))
-    return s
+def _tuple_mask(t: ExponentTuple, power: Callable[[int, int], int], catalog: Catalog) -> int:
+    """A for power = _pow, sigma(A) for power = _geom_sum."""
+    bases = [2, 3] + [e.poly.mask for e in catalog.mersennes[:5] + catalog.stypes[:8]]
+    return _shape_mask(power, (t.a, t.b, *t.c, *t.d), bases)
 
 
 def pipeline_step3(step2: list[tuple[int, ...]]) -> list[tuple[ExponentTuple, Poly]]:
@@ -389,41 +350,27 @@ def pipeline_step3(step2: list[tuple[int, ...]]) -> list[tuple[ExponentTuple, Po
 
     Completion mirrors (n3, u3) from (n2, u2) because gamma_3 = gamma_2 = c_2,
     then enforces the remaining fixed-point equations: c_1 = gamma_1 and
-    c_4 = gamma_4, c_5 = gamma_5 with c_4, c_5 of the shape 2^{n_4} - 1,
-    2^{n_5} - 1 inside their ranges.
+    c_4 = gamma_4, c_5 = gamma_5 with c_4, c_5 inside their boxes.
     """
     cat = _cat()
-    nu = [e.params[2] for e in cat.stypes[:8]]
+    nu = tuple(e.params[2] for e in cat.stypes[:8])
     out = []
     for fields in step2:
         n, u, m, v, n1, u1, n2, u2, d1, d2, d3, d4, d5, d6, d7, d8, m1, v1 = fields
         n3, u3 = n2, u2  # gamma_3 = gamma_2 forces c_3 = c_2
-        m_j = (m1, d2, d3, d4, d5, d6, d7, d8)  # m_j = d_j for j >= 2 since d_j <= 1
-        xi1 = _chi(u, 3, 9, 15)
-        xi2 = _chi(v, 3, 9, 15)
-        g1 = (
-            sum(((1 << mj) - 1) * nuj for mj, nuj in zip(m_j, nu))
-            + (xi1 << n) + (xi2 << m)
-            + (_chi(u2, 3) << n2) + (_chi(u3, 3) << n3)
-        )
-        if (1 << n1) * u1 - 1 != g1:
+        # m_j = d_j for j >= 2: their boxes allow only d_j = 2^{m_j} - 1 <= 1
+        m_j = (m1, d2, d3, d4, d5, d6, d7, d8)
+        if (1 << n1) * u1 - 1 != _gamma1(n, u, m, v, n2, u2, n3, u3, m_j, nu):
             continue
-        g4 = (
-            (_chi(u, 5, 15) << n) + (_chi(v, 15) << m) + (_chi(u1, 15) << n1)
-            + (_chi(u3, 3) << n3) + (_chi(v1, 3) << m1)
-        )
-        g5 = (
-            (_chi(u, 15) << n) + (_chi(v, 5, 15) << m) + (_chi(u1, 15) << n1)
-            + (_chi(u2, 3) << n2) + (_chi(v1, 3) << m1)
-        )
-        n4 = (g4 + 1).bit_length() - 1
-        n5 = (g5 + 1).bit_length() - 1
-        if (1 << n4) - 1 != g4 or n4 > 5 or (1 << n5) - 1 != g5 or n5 > 5:
+        c4 = _M_PAIRS[3].get(_gamma4(n, u, m, v, n1, u1, n3, u3, m1, v1))
+        c5 = _M_PAIRS[4].get(_gamma4(m, v, n, u, n1, u1, n2, u2, m1, v1))
+        if not (c4 and c5):
             continue
-        t = _tuple_from_step3(fields, n4, n5)
+        t = ExponentTuple(n, u, m, v, (n1, n2, n3, c4[0], c5[0]), (u1, u2, u3, c4[1], c5[1]),
+                          m_j, (v1,) + (1,) * 7)
         se = compute_sigma_exponents(t)
         if t.a == se.alpha and t.b == se.beta:
-            out.append((t, Poly(_poly_from_tuple(t, cat))))
+            out.append((t, Poly(_tuple_mask(t, _pow, cat))))
     return out
 
 
@@ -469,17 +416,8 @@ class SearchReport:
 
 
 def _render_tuple_factorization(t: ExponentTuple) -> str:
-    parts = []
-    if t.a:
-        parts.append(f"x^{t.a}" if t.a > 1 else "x")
-    if t.b:
-        parts.append(f"(x+1)^{t.b}" if t.b > 1 else "(x+1)")
-    for i, c in enumerate(t.c, start=1):
-        if c:
-            parts.append(f"M_{i}^{c}" if c > 1 else f"M_{i}")
-    for j, d in enumerate(t.d, start=1):
-        if d:
-            parts.append(f"S_{j}^{d}" if d > 1 else f"S_{j}")
+    names = ["x", "(x+1)"] + [f"M_{i}" for i in range(1, 6)] + [f"S_{j}" for j in range(1, 9)]
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, (t.a, t.b, *t.c, *t.d)) if e]
     return " * ".join(parts) if parts else "1"
 
 
@@ -496,7 +434,7 @@ def pipeline_finalize(candidates: list[tuple[ExponentTuple, Poly]], counts: tupl
     for t, p in candidates:
         if not any(t.c) and not any(t.d):
             continue
-        if _sigma_from_tuple(t, cat) == p.mask:
+        if _tuple_mask(t, _geom_sum, cat) == p.mask:
             survivors.append(p)
     survivors.sort()
     closure = sorted({p for p in survivors} | {Poly(_bar(p.mask)) for p in survivors})
@@ -587,7 +525,11 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = 
     GF2SIGMA_SCAN_CEILING environment variable.
     """
     if ceiling is None:
-        ceiling = int(os.environ.get(SCAN_CEILING_ENV, DEFAULT_SCAN_CEILING))
+        raw = os.environ.get(SCAN_CEILING_ENV, str(DEFAULT_SCAN_CEILING))
+        try:
+            ceiling = int(raw)
+        except ValueError:
+            raise ValueError(f"{SCAN_CEILING_ENV} must be an integer, got {raw!r}") from None
     if not 1 <= max_degree <= ceiling:
         raise ValueError(f"max_degree must be in 1..{ceiling}, got {max_degree}")
     if workers < 1:

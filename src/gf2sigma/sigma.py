@@ -15,8 +15,9 @@ which is the identity driving every exponent computation in `search`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .gf2poly import Poly, _mul, _pow
+from .gf2poly import Poly, _mul, _pow, _sqr
 from .factorizer import Factorization, _factor_mask, _is_irreducible_mask, factor
 
 __all__ = [
@@ -35,6 +36,22 @@ def _geom_sum(pm: int, k: int) -> int:
     for _ in range(k):
         acc = _mul(acc, pm) ^ 1
     return acc
+
+
+def _geom_sums_even(bm: int, h_max: int) -> Iterator[int]:
+    """sigma(b^2), sigma(b^4), ..., sigma(b^(2*h_max)) by acc <- acc*b^2 + b + 1."""
+    acc = 1
+    bsq = _sqr(bm)
+    for _ in range(h_max):
+        acc = _mul(acc, bsq) ^ bm ^ 1
+        yield acc
+
+
+def _split_2adic(k: int) -> tuple[int, int]:
+    """Write k + 1 = 2^t * s with s odd and return (t, s)."""
+    n = k + 1
+    t = (n & -n).bit_length() - 1
+    return t, n >> t
 
 
 def _sigma_mask(m: int) -> int:
@@ -107,9 +124,7 @@ def check_geometric_split(p: Poly, exponent: int) -> bool:
         raise ValueError("exponent must be >= 1")
     if not _is_irreducible_mask(p.mask):
         raise ValueError(f"{p} is not irreducible")
-    n = exponent + 1
-    t = (n & -n).bit_length() - 1  # 2-adic valuation
-    s = n >> t
+    t, s = _split_2adic(exponent)
     lhs = _geom_sum(p.mask, exponent)
     rhs = _mul(_pow(p.mask ^ 1, (1 << t) - 1), _pow(_geom_sum(p.mask, s - 1), 1 << t))
     return lhs == rhs

@@ -65,6 +65,12 @@ class TestFactor:
         assert code == 1
         assert "error" in err
 
+    def test_degree_limit_is_domain_error(self, run):
+        code, _, err = run("factor", "x^100000")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_text_and_json_carry_same_facts(self, run, run_json):
         code, out, _ = run("factor", T1_EXPR)
         _, data, _ = run_json("factor", T1_EXPR)
@@ -159,6 +165,11 @@ class TestAdmissible:
         assert data["h_max"] == 5
         assert data["admissible"] is True  # via the 1+T witness
 
+    def test_h_max_below_one_is_usage_error(self, run):
+        code, _, err = run("admissible", "M_1", "--h-max", "0")
+        assert code == 2
+        assert "--h-max" in err
+
     def test_name_normalization(self, run_json):
         code, data, _ = run_json("admissible", "m1")
         assert code == 0
@@ -183,6 +194,11 @@ class TestTables:
         code, data, _ = run_json("tables", which)
         assert code == 0
         assert len(data["rows"]) == rows
+
+    def test_h_max_below_one_is_usage_error(self, run):
+        code, _, err = run("tables", "x2h", "--h-max", "0")
+        assert code == 2
+        assert "--h-max" in err
 
     def test_x2h_text_lines(self, run):
         code, out, _ = run("tables", "x2h")

@@ -99,6 +99,16 @@ class TestParsePrint:
         assert ei.value.pos >= 0
         assert ei.value.text == "x^2+zzz"
 
+    def test_degree_limit(self):
+        """Powers, products and x^k terms above degree 2^16 are rejected."""
+        for bad in ["x^65537", "(x+1)^70000", "x^40000*x^40000"]:
+            with pytest.raises(ParseError):
+                parse_expr(bad)
+        with pytest.raises(ParseError):
+            parse("x^70000")
+        assert parse_expr("x^65536") == parse("x^65536") == X ** 65536
+        assert parse_expr("x^30000*x^30000").degree == 60000
+
 
 class TestRingOps:
     def test_add_is_xor(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from gf2sigma.search import (
     sigma_x2h_table,
 )
 from gf2sigma.sigma import is_perfect, sigma_prime_power
+
+THEOREM_GOLDEN = Path(__file__).parent / "data" / "theorem_golden.json"
 
 
 def rows_as_name_maps(rows, names):
@@ -56,6 +59,11 @@ class TestTables:
         rows = rows_as_name_maps(sigma_s_table(), names)
         assert {(b, e): f for b, e, f in rows} == expected.S_TABLE
         assert len(rows) == 2
+
+    def test_h_max_below_one_rejected(self):
+        for table in (sigma_x2h_table, sigma_mersenne_table, sigma_s_table):
+            with pytest.raises(ValueError):
+                table(h_max=0)
 
     def all_rows(self, catalog):
         return sigma_x2h_table() + sigma_mersenne_table() + sigma_s_table()
@@ -243,6 +251,11 @@ class TestPipeline:
         b = json.dumps(run_pipeline().to_json(), sort_keys=True)
         assert a == b
 
+    def test_report_matches_golden(self, pipeline_report):
+        """The theorem report, byte for byte as `theorem --report` writes it."""
+        text = json.dumps(pipeline_report.to_json(), indent=2, sort_keys=True) + "\n"
+        assert text == THEOREM_GOLDEN.read_text(encoding="utf-8")
+
     def test_finalize_rejects_incomplete_candidate_sets(self):
         with pytest.raises(SearchError):
             pipeline_finalize([])
@@ -297,6 +310,11 @@ class TestExhaustiveScan:
         with pytest.raises(ValueError):
             exhaustive_scan(12)
         assert len(exhaustive_scan(12, ceiling=12)) == 8  # explicit beats env
+
+    def test_non_integer_env_ceiling_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", "abc")
+        with pytest.raises(ValueError, match="GF2SIGMA_SCAN_CEILING"):
+            exhaustive_scan(4)
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):
