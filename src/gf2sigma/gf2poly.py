@@ -160,6 +160,20 @@ def _check_degree(degree: int, text: str, pos: int) -> None:
         raise ParseError(f"degree {degree} exceeds {MAX_PARSE_DEGREE}", text, pos)
 
 
+_MAX_EXPONENT_DIGITS = len(str(MAX_PARSE_DEGREE))
+
+
+def _parse_exponent(digits: str, text: str, pos: int) -> int:
+    """int(digits), refusing more digits than any degree up to MAX_PARSE_DEGREE has.
+
+    Past 4300 digits int() raises a plain ValueError with no position.
+    """
+    digits = digits.lstrip("0") or "0"  # int() counts leading zeros toward its limit
+    if len(digits) > _MAX_EXPONENT_DIGITS:
+        raise ParseError(f"exponent has more than {_MAX_EXPONENT_DIGITS} digits", text, pos)
+    return int(digits)
+
+
 _TERM_RE = re.compile(r"^(?:0|1|x(?:\^(\d+))?)$")
 _HEX_RE = re.compile(r"^0[xX][0-9a-fA-F]+$")
 
@@ -187,8 +201,9 @@ def _parse_mask(text: str) -> int:
         elif m.group(1) is None:
             mask ^= 2
         else:
-            k = int(m.group(1))
-            _check_degree(k, text, pos + len(chunk) - len(chunk.lstrip()))
+            start = pos + len(chunk) - len(chunk.lstrip())
+            k = _parse_exponent(m.group(1), text, start)
+            _check_degree(k, text, start)
             mask ^= 1 << k
         pos += len(chunk) + 1
     return mask
@@ -260,7 +275,7 @@ class _ExprParser:
             tok, pos = self.next()
             if not tok.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer, got {tok!r}", self.text, pos)
-            k = int(tok)
+            k = _parse_exponent(tok, self.text, pos)
             _check_degree((mask.bit_length() - 1) * k, self.text, pos)
             mask = _pow(mask, k)
         return mask

@@ -14,21 +14,31 @@ The sigma tables enumerate which sigma(base^{2h}) factor entirely over the
 28-member catalog family, under the degree bound 2h*deg(base) <= 2*h_max
 (default h_max = 92, i.e. sigma arguments of degree at most 184).
 
-`exhaustive_scan` enumerates every monic polynomial of degree 1..max_degree
+`exhaustive_scan` enumerates the monic polynomials of degree 1..max_degree
 by unique factorization (a DFS over ordered prime multisets) while updating
-sigma multiplicatively, and reports all perfect polynomials found.  Nothing
-is pruned: each polynomial, odd ones included, is visited exactly once.
+sigma multiplicatively, and reports all perfect polynomials found.  Two rules,
+sound for every A with sigma(A) = A (odd ones included), cut subtrees that
+hold no perfect polynomial:
+
+* half-degree: if P^e exactly divides A then sigma(P^e), coprime to P,
+  divides A / P^e, so 2*e*deg P <= deg A;
+* divisibility: below a node a, r = sigma(a) / gcd(sigma(a), a) must divide
+  the rest of A, so it fits the remaining degree and has no factor among
+  the primes already decided.
+
+The soundness argument is in `exhaustive_scan`'s docstring.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .gf2poly import Poly, _bar, _mul, _pow
+from .gf2poly import Poly, _bar, _divmod, _gcd, _mod, _mul, _popcount, _pow
 from .factorizer import Factorization, _irreducible_masks
 from .sigma import _geom_sum, _geom_sums_even, _split_2adic
 from .catalog import DEFAULT_H_MAX, Catalog, _factor_over, _shape_mask, build_catalog
@@ -53,6 +63,9 @@ __all__ = [
 
 SCAN_CEILING_ENV = "GF2SIGMA_SCAN_CEILING"
 DEFAULT_SCAN_CEILING = 24
+# The scan sieves every irreducible up to its degree in a bytearray of
+# 2^(D+1) bytes, 128 MB at D = 26; no ceiling may go above this.
+MAX_SCAN_CEILING = 26
 
 
 def _box_pairs(top: int, odds: tuple[int, ...]) -> dict[int, tuple[int, int]]:
@@ -473,27 +486,53 @@ def run_pipeline() -> SearchReport:
 _SCAN_PRIMES: list[int] = []  # per-process state for worker tasks
 
 
-def _scan_subtree(primes: list[int], i0: int, a: int, s: int, budget: int, out: list[int]) -> None:
+def _rest_factor(idx: int, a: int, s: int, budget: int) -> int:
+    """The divisibility rule at a scan node; 0 when no perfect A lies below it.
+
+    a is a product of exact powers of primes[0..idx] and s = sigma(a).  Any
+    A below the node is a * rest with rest over primes[idx+1:], so a perfect
+    one needs r = s / gcd(s, a) to divide rest: deg r <= budget, and r has no
+    factor x (r & 1), x+1 (popcount parity) or x^2+x+1 (0b111), which are
+    primes[0..2].  Returns r, which is 1 exactly when s == a.
+    """
+    r = _divmod(s, _gcd(s, a))[0]
+    if (r.bit_length() - 1 > budget or not r & 1 or (idx and not _popcount(r) & 1)
+            or (idx >= 2 and not _mod(r, 0b111))):
+        return 0
+    return r
+
+
+def _scan_node(primes: list[int], idx: int, a: int, s: int, budget: int, half: int, out: list[int]) -> None:
+    """Record a if perfect, then visit its children unless the rules rule them out."""
+    r = _rest_factor(idx, a, s, budget)
+    if r == 1:
+        out.append(a)
+    if r and budget:
+        _scan_children(primes, idx + 1, a, s, r, budget, half, out)
+
+
+def _scan_children(primes: list[int], i0: int, a: int, s: int, r: int, budget: int, half: int,
+                   out: list[int]) -> None:
+    """Visit a * p^e for each primes[i0:] p and e that the rules allow.
+
+    p is the smallest prime of the rest, so it has degree at most deg r when
+    r != 1, and no prime after the first one dividing r can be it.
+    """
+    cap = min(budget, half)  # e * deg p <= cap: the budget and the half-degree rule
+    top = cap if r == 1 else min(cap, r.bit_length() - 1)
     for idx in range(i0, len(primes)):
         p = primes[idx]
         dp = p.bit_length() - 1
-        if dp > budget:
+        if dp > top:
             break
         pe = p
         se = p ^ 1
-        rem = budget - dp
-        while True:
-            a2 = _mul(a, pe)
-            s2 = _mul(s, se)
-            if a2 == s2:
-                out.append(a2)
-            if rem >= 1:
-                _scan_subtree(primes, idx + 1, a2, s2, rem, out)
-            if rem < dp:
-                break
-            rem -= dp
+        for e in range(1, cap // dp + 1):
+            _scan_node(primes, idx, _mul(a, pe), _mul(s, se), budget - e * dp, half, out)
             pe = _mul(pe, p)
             se = _mul(se, p) ^ 1  # sigma(p^(e+1)) = sigma(p^e)*p + 1
+        if r != 1 and not _mod(r, p):
+            break
 
 
 def _scan_task_init(primes: list[int]) -> None:
@@ -502,53 +541,74 @@ def _scan_task_init(primes: list[int]) -> None:
 
 
 def _scan_task(args: tuple[int, int, int]) -> list[int]:
-    idx, e, budget = args
-    primes = _SCAN_PRIMES
-    p = primes[idx]
-    dp = p.bit_length() - 1
-    a = _pow(p, e)
-    s = _geom_sum(p, e)
+    idx, e, max_degree = args
+    p = _SCAN_PRIMES[idx]
     out: list[int] = []
-    if a == s:
-        out.append(a)
-    rem = budget - dp * e
-    if rem >= 1:
-        _scan_subtree(primes, idx + 1, a, s, rem, out)
+    _scan_node(_SCAN_PRIMES, idx, _pow(p, e), _geom_sum(p, e), max_degree - (p.bit_length() - 1) * e,
+               max_degree // 2, out)
     return out
 
 
-def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = None) -> list[Poly]:
-    """All perfect polynomials of degree 1..max_degree, sorted by (degree, mask).
-
-    Enumerates every monic polynomial exactly once via its factorization.
-    The ceiling defaults to 24 and may be overridden with the
-    GF2SIGMA_SCAN_CEILING environment variable.
-    """
+def _scan_ceiling(ceiling: int | None) -> int:
+    """The degree cap: ceiling=, else GF2SIGMA_SCAN_CEILING, else the default."""
+    name = "ceiling"
     if ceiling is None:
+        name = SCAN_CEILING_ENV
         raw = os.environ.get(SCAN_CEILING_ENV, str(DEFAULT_SCAN_CEILING))
         try:
             ceiling = int(raw)
         except ValueError:
             raise ValueError(f"{SCAN_CEILING_ENV} must be an integer, got {raw!r}") from None
+    if ceiling > MAX_SCAN_CEILING:
+        raise ValueError(f"{name} must be at most {MAX_SCAN_CEILING} (the scan sieve takes "
+                         f"2^(ceiling+1) bytes), got {ceiling}")
+    return ceiling
+
+
+def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = None) -> list[Poly]:
+    """All perfect polynomials of degree 1..max_degree, sorted by (degree, mask).
+
+    A DFS over factorizations: a node is a = prod p_i^e_i over a prefix
+    primes[0..idx] of the irreducibles in (degree, mask) order, with
+    s = sigma(a); its children multiply in p^e for a later prime p.  Every
+    monic polynomial is one node, so the scan is complete if each rule below
+    only cuts subtrees holding no perfect A, odd ones included.  Let
+    deg A <= D = max_degree and sigma(A) = A.
+
+    Half-degree rule.  If P^e exactly divides A, sigma(P^e) has degree
+    e*deg P, is coprime to P (it is 1 mod P) and divides sigma(A) = A, hence
+    A / P^e.  So 2*e*deg P <= D: primes of degree above D/2 and exponents
+    with 2*e*deg P > D are never tried.
+
+    Divisibility rule.  Below a node, A = a * rest with rest built from
+    primes after primes[idx].  sigma(A) = s * sigma(rest) = A and
+    gcd(a, rest) = 1 give s | a * rest, so r = s / gcd(s, a) divides rest.
+    Hence deg r <= D - deg a, and r has no factor among primes[0..idx]
+    (`_rest_factor` tests x, x+1 and x^2+x+1).  Also, the next prime of A is
+    the smallest prime of rest, so when r != 1 it has degree <= deg r, and
+    it cannot come after the first prime dividing r.
+
+    The ceiling defaults to 24 and may be overridden with the
+    GF2SIGMA_SCAN_CEILING environment variable or ceiling=, up to
+    MAX_SCAN_CEILING.  workers is capped at os.cpu_count(); above 1, each
+    top-level (prime, exponent) pair is one pool task.
+    """
+    ceiling = _scan_ceiling(ceiling)
     if not 1 <= max_degree <= ceiling:
         raise ValueError(f"max_degree must be in 1..{ceiling}, got {max_degree}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
+    half = max_degree // 2
     primes = _irreducible_masks(max_degree)
+    primes = primes[:bisect_left(primes, 1 << (half + 1))]  # the half-degree rule
     found: list[int] = []
     if workers <= 1:
-        _scan_subtree(primes, 0, 1, 1, max_degree, found)
+        _scan_children(primes, 0, 1, 1, 1, max_degree, half, found)
     else:
-        tasks = []
-        for idx, p in enumerate(primes):
-            dp = p.bit_length() - 1
-            e = 1
-            while dp * e <= max_degree:
-                tasks.append((idx, e, max_degree))
-                e += 1
-        # large subtrees first so the pool tail stays short
-        tasks.sort(key=lambda t: t[2] - (primes[t[0]].bit_length() - 1) * t[1], reverse=True)
+        tasks = [(idx, e, max_degree) for idx, p in enumerate(primes)
+                 for e in range(1, half // (p.bit_length() - 1) + 1)]
         with multiprocessing.Pool(workers, initializer=_scan_task_init, initargs=(primes,)) as pool:
-            for chunk in pool.imap_unordered(_scan_task, tasks, chunksize=16):
+            for chunk in pool.imap_unordered(_scan_task, tasks):
                 found.extend(chunk)
     return [Poly(m) for m in sorted(found)]

@@ -153,3 +153,36 @@ def mobius(n: int) -> int:
 def necklace_count(d: int) -> int:
     """Number of degree-d irreducibles over GF(2): (1/d) * sum mu(e) 2^(d/e)."""
     return sum(mobius(e) * (1 << (d // e)) for e in range(1, d + 1) if d % e == 0) // d
+
+
+def unpruned_perfect_scan(max_degree: int, primes: list[int]) -> list[int]:
+    """Masks of all perfect polynomials of degree 1..max_degree, ascending.
+
+    Visits every monic polynomial exactly once, as a product of powers of
+    distinct primes taken in ascending order, carrying sigma alongside by
+    sigma(p^(e+1)) = sigma(p^e) * p + 1.  Nothing is pruned.  `primes` must
+    hold every irreducible of degree 1..max_degree, ascending; it is the one
+    input taken from outside, because sieving degree 20 naively takes
+    minutes.
+    """
+    found: list[int] = []
+
+    def walk(i0: int, a: int, s: int, budget: int) -> None:
+        for idx in range(i0, len(primes)):
+            p = primes[idx]
+            dp = degree(p)
+            if dp > budget:
+                break
+            pe, se, rem = p, p ^ 1, budget - dp
+            while True:
+                a2, s2 = mul(a, pe), mul(s, se)
+                if a2 == s2:
+                    found.append(a2)
+                if rem:
+                    walk(idx + 1, a2, s2, rem)
+                if rem < dp:
+                    break
+                pe, se, rem = mul(p, pe), mul(p, se) ^ 1, rem - dp
+
+    walk(0, 1, 1, max_degree)
+    return sorted(found)

@@ -10,6 +10,7 @@ import pytest
 import expected
 from gf2sigma.catalog import build_catalog
 from gf2sigma.cli import SCHEMAS, main
+from gf2sigma.search import MAX_SCAN_CEILING
 
 T1_EXPR = "x^2*(x+1)*(x^2+x+1)"
 
@@ -67,6 +68,13 @@ class TestFactor:
 
     def test_degree_limit_is_domain_error(self, run):
         code, _, err = run("factor", "x^100000")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["x^" + "1" * 5000, "(x+1)^" + "1" * 5000])
+    def test_overlong_exponent_is_domain_error(self, run, text):
+        code, _, err = run("factor", text)
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
@@ -278,6 +286,13 @@ class TestScan:
         code, _, err = run("scan", "--max-degree", "7")
         assert code == 1
         assert "1..6" in err
+
+    def test_env_ceiling_above_maximum_is_domain_error(self, run, monkeypatch):
+        monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", str(MAX_SCAN_CEILING + 1))
+        code, _, err = run("scan", "--max-degree", "4")
+        assert code == 1
+        assert "GF2SIGMA_SCAN_CEILING" in err
+        assert "Traceback" not in err
 
     def test_bad_worker_count(self, run):
         code, _, err = run("scan", "--max-degree", "6", "--workers", "0")

@@ -109,6 +109,19 @@ class TestParsePrint:
         assert parse_expr("x^65536") == parse("x^65536") == X ** 65536
         assert parse_expr("x^30000*x^30000").degree == 60000
 
+    def test_overlong_exponent_is_parse_error(self):
+        """An exponent longer than any allowed degree is refused before int(),
+        which past 4300 digits raises a plain ValueError."""
+        for fn, text, pos in [(parse, "x^" + "1" * 5000, 0),
+                              (parse_expr, "x^" + "1" * 5000, 2),
+                              (parse_expr, "(x+1)^" + "1" * 5000, 6),
+                              (parse, "1+x^123456", 2)]:
+            with pytest.raises(ParseError) as ei:
+                fn(text)
+            assert ei.value.pos == pos
+        assert parse("x^" + "0" * 5000 + "3") == X ** 3  # leading zeros do not count
+        assert parse_expr("(x+1)^" + "0" * 5000 + "2") == (X + ONE) ** 2
+
 
 class TestRingOps:
     def test_add_is_xor(self):

@@ -9,9 +9,13 @@ from pathlib import Path
 import pytest
 
 import expected
+import oracles
+from gf2sigma import search
+from gf2sigma.factorizer import _irreducible_masks, factor
 from gf2sigma.gf2poly import ONE, X, ZERO, Poly
 from gf2sigma.search import (
     DEFAULT_SCAN_CEILING,
+    MAX_SCAN_CEILING,
     ExponentTuple,
     SearchError,
     compute_sigma_exponents,
@@ -319,3 +323,80 @@ class TestExhaustiveScan:
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):
             exhaustive_scan(6, workers=0)
+
+    def test_ceiling_maximum(self, monkeypatch):
+        with pytest.raises(ValueError, match="ceiling must be at most"):
+            exhaustive_scan(4, ceiling=MAX_SCAN_CEILING + 1)
+        assert len(exhaustive_scan(4, ceiling=MAX_SCAN_CEILING)) == 1
+        monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", str(MAX_SCAN_CEILING + 1))
+        with pytest.raises(ValueError, match="GF2SIGMA_SCAN_CEILING"):
+            exhaustive_scan(4)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        """The pool gets at most os.cpu_count() processes; the fake pool
+        records the count and runs the tasks in this process."""
+        started = []
+
+        class FakePool:
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(search, "_SCAN_PRIMES", [])
+        assert exhaustive_scan(12, workers=64) == exhaustive_scan(12)
+        assert exhaustive_scan(12, workers=2) == exhaustive_scan(12)
+        assert started == [3, 2]
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert exhaustive_scan(12, workers=8) == exhaustive_scan(12)
+        assert started == [3, 2]  # one usable cpu: serial, no pool
+
+
+class TestScanPruning:
+    """The pruned scan against the unpruned oracle, and its rules against
+    the known perfect polynomials."""
+
+    def test_pruned_equals_unpruned_to_degree_16(self):
+        primes = _irreducible_masks(16)
+        for d in range(1, 17):
+            within = [p for p in primes if p.bit_length() - 1 <= d]
+            assert [p.mask for p in exhaustive_scan(d)] == oracles.unpruned_perfect_scan(d, within), d
+
+    def test_pruned_equals_unpruned_at_degree_20(self, scan_degree20):
+        unpruned = oracles.unpruned_perfect_scan(20, _irreducible_masks(20))
+        assert [p.mask for p in scan_degree20["single"]] == unpruned
+
+    def test_rules_accept_every_prefix_of_the_known_perfects(self, t_polys):
+        """Walk each perfect A of degree <= 20 in the scan's prime order; every
+        prefix node must pass the rules that would otherwise cut it."""
+        trivials = [(X * (X + ONE)) ** (2**n - 1) for n in range(1, 4)]
+        primes = _irreducible_masks(20)
+        perfects = trivials + list(t_polys.values())
+        assert len(perfects) == 14
+        for A in perfects:
+            powers = sorted((q.mask, e) for q, e in factor(A))
+            a = s = 1
+            for k, (p, e) in enumerate(powers):
+                assert 2 * e * oracles.degree(p) <= A.degree  # half-degree
+                a = oracles.mul(a, oracles.pow_(p, e))
+                s = oracles.mul(s, oracles.divisor_sigma_scan(oracles.pow_(p, e)))
+                r = search._rest_factor(primes.index(p), a, s, 20 - oracles.degree(a))
+                assert r, (A, k)
+                assert oracles.mul(r, oracles.divmod_(s, r)[0]) == s
+                if k + 1 < len(powers):
+                    nxt = powers[k + 1][0]
+                    if r != 1:  # the next prime is no later than r's first prime
+                        assert oracles.degree(nxt) <= oracles.degree(r)
+                        assert not any(oracles.divmod_(r, q)[1] == 0 for q in primes if p < q < nxt)
+                else:
+                    assert r == 1 and a == s == A.mask
