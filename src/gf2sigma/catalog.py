@@ -41,6 +41,17 @@ __all__ = [
 ]
 
 DEFAULT_H_MAX = 92  # degree bound: sigma arguments of even exponent <= 184
+# The tables' cost grows about 4x per doubling of h_max, and check_admissible
+# is slowest on members with no 1+T witness: for the fifteen S-types it took
+# 8.7 s at h_max = 184 and 43 s at 368 on a 2-core machine.
+MAX_H_MAX = 184
+
+
+def _check_h_max(h_max: int) -> int:
+    """Return h_max, or raise ValueError unless 1 <= h_max <= MAX_H_MAX."""
+    if not 1 <= h_max <= MAX_H_MAX:
+        raise ValueError(f"h_max must be in 1..{MAX_H_MAX}, got {h_max}")
+    return h_max
 
 
 class CatalogError(ValueError):
@@ -141,6 +152,16 @@ _BAR_PAIRS: Mapping[str, str] = {
 
 EXPECTED_DEGREE_SUM = 184  # over the 28 irreducible roster members
 
+# The odd primes of the classification shape, in exponent order: the first
+# _SHAPE_MERSENNES Mersenne entries, then the first _SHAPE_STYPES S-types.
+_SHAPE_MERSENNES = 5
+_SHAPE_STYPES = 8
+
+
+def _shape_members(mersennes: Sequence, stypes: Sequence) -> tuple[Sequence, Sequence]:
+    """The shape's primes M_i and S_j, taken from the two rosters."""
+    return mersennes[:_SHAPE_MERSENNES], stypes[:_SHAPE_STYPES]
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -237,32 +258,35 @@ def _shape_mask(power: Callable[[int, int], int], exponents: Sequence[int], base
 
 def build_catalog() -> Catalog:
     """Construct and verify the full catalog; raises CatalogError on any violation."""
-    raw: list[tuple[str, Poly, str, tuple[int, ...]]] = []
-
+    mersenne_raw: list[tuple[str, Poly, str, tuple[int, ...]]] = []
     for name, a, b in _MERSENNE_PARAMS:
         poly = Poly(_mul(1 << a, _pow(3, b)) ^ 1)
         if not _is_irreducible_mask(poly.mask):
             raise CatalogError(f"{name}: 1 + x^{a}(x+1)^{b} is reducible")
         if not is_mersenne_prime(poly):
             raise CatalogError(f"{name}: not of Mersenne shape")
-        raw.append((name, poly, "mersenne", (a, b)))
+        mersenne_raw.append((name, poly, "mersenne", (a, b)))
 
-    m1 = raw[0][1]
+    m1 = mersenne_raw[0][1]
+    stype_raw: list[tuple[str, Poly, str, tuple[int, ...]]] = []
     for name, a, b, c in _STYPE_PARAMS:
         if _int_gcd(a, b, c) != 1:
             raise CatalogError(f"{name}: parameters ({a},{b},{c}) are not coprime")
         poly = one_plus_product(m1, a, b, c)
         if not _is_irreducible_mask(poly.mask):
             raise CatalogError(f"{name}: 1 + x^{a}(x+1)^{b}M_1^{c} is reducible")
-        raw.append((name, poly, "stype", (a, b, c)))
+        stype_raw.append((name, poly, "stype", (a, b, c)))
 
+    raw = mersenne_raw + stype_raw
     degree_sum = sum(poly.degree for _, poly, _, _ in raw)
     if degree_sum != EXPECTED_DEGREE_SUM:
         raise CatalogError(f"irreducible roster degree sum {degree_sum} != {EXPECTED_DEGREE_SUM}")
 
-    # x, x+1, M_1..M_5, S_1..S_8
-    bases = [2, 3] + [poly.mask for _, poly, _, _ in raw[:5] + raw[13:21]]
+    shape_m, shape_s = _shape_members(mersenne_raw, stype_raw)
+    bases = [2, 3] + [poly.mask for _, poly, _, _ in shape_m + shape_s]
     for name, a, b, c_i, d_j in _PERFECT_PARAMS:
+        if (len(c_i), len(d_j)) != (len(shape_m), len(shape_s)):
+            raise CatalogError(f"{name}: exponents do not fit the shape")
         params = (a, b) + c_i + d_j
         raw.append((name, Poly(_shape_mask(_pow, params, bases)), "perfect", params))
 
@@ -348,8 +372,7 @@ def check_admissible(family: Iterable[Poly], h_max: int = DEFAULT_H_MAX) -> Admi
             raise ValueError(f"family member {p} is even")
         if not _is_irreducible_mask(p.mask):
             raise ValueError(f"family member {p} is reducible")
-    if h_max < 1:
-        raise ValueError("h_max must be >= 1")
+    _check_h_max(h_max)
     masks = [p.mask for p in members]
     mask_set = set(masks)
     with_linear = masks + [2, 3]

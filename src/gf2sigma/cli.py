@@ -14,7 +14,8 @@ scan                 exhaustive perfect-polynomial scan up to a degree
 
 Every subcommand takes --format {text,json}; JSON outputs conform to the
 schemas published in `SCHEMAS`.  Exit codes: 0 success (and positive checks),
-1 negative or failed verification, 2 bad usage or unparsable input.
+1 negative or failed verification or a domain error such as unparsable input,
+2 bad usage.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import __version__
 from .gf2poly import Poly, parse_expr
 from .factorizer import Factorization, factor
 from .sigma import is_indecomposable_perfect, is_perfect, sigma
-from .catalog import DEFAULT_H_MAX, CatalogError, build_catalog, check_admissible
+from .catalog import DEFAULT_H_MAX, CatalogError, _check_h_max, build_catalog, check_admissible
 from .search import (
     DEFAULT_SCAN_CEILING,
     SCAN_CEILING_ENV,
@@ -48,178 +49,76 @@ __all__ = ["SCHEMAS", "main"]
 # published JSON schemas, one per subcommand output
 # ---------------------------------------------------------------------------
 
-_FACTOR_ITEM = {
-    "type": "object",
-    "required": ["poly", "hex", "degree", "multiplicity", "name"],
-    "properties": {
-        "poly": {"type": "string"},
-        "hex": {"type": "string"},
-        "degree": {"type": "integer"},
-        "multiplicity": {"type": "integer", "minimum": 1},
-        "name": {"type": ["string", "null"]},
-    },
-}
 
-_CATALOG_ENTRY = {
-    "type": "object",
-    "required": ["name", "kind", "hex", "poly", "degree", "params", "bar_partner", "star_partner"],
-    "properties": {
-        "name": {"type": "string"},
-        "kind": {"enum": ["mersenne", "stype", "perfect"]},
-        "hex": {"type": "string"},
-        "poly": {"type": "string"},
-        "degree": {"type": "integer"},
-        "params": {"type": "array", "items": {"type": "integer"}},
-        "bar_partner": {"type": "string"},
-        "star_partner": {"type": ["string", "null"]},
-    },
-}
+def _object(**properties: dict) -> dict:
+    """An object schema that requires each of its properties, in the order given."""
+    return {"type": "object", "required": list(properties), "properties": properties}
+
+
+_STRING = {"type": "string"}
+_INTEGER = {"type": "integer"}
+_BOOLEAN = {"type": "boolean"}
+_STRINGS = {"type": "array", "items": _STRING}
+_STRING_OR_NULL = {"type": ["string", "null"]}
+
+_FACTOR_ITEMS = {"type": "array", "items": _object(
+    poly=_STRING, hex=_STRING, degree=_INTEGER, multiplicity={"type": "integer", "minimum": 1},
+    name=_STRING_OR_NULL,
+)}
+
+_CATALOG_ENTRIES = {"type": "array", "items": _object(
+    name=_STRING, kind={"enum": ["mersenne", "stype", "perfect"]}, hex=_STRING, poly=_STRING,
+    degree=_INTEGER, params={"type": "array", "items": _INTEGER}, bar_partner=_STRING,
+    star_partner=_STRING_OR_NULL,
+)}
 
 SCHEMAS: dict[str, dict] = {
-    "factor": {
-        "type": "object",
-        "required": ["input", "poly", "hex", "degree", "irreducible", "factors", "rendered"],
-        "properties": {
-            "input": {"type": "string"},
-            "poly": {"type": "string"},
-            "hex": {"type": "string"},
-            "degree": {"type": "integer"},
-            "irreducible": {"type": "boolean"},
-            "factors": {"type": "array", "items": _FACTOR_ITEM},
-            "rendered": {"type": "string"},
-        },
-    },
-    "sigma": {
-        "type": "object",
-        "required": ["input", "poly", "hex", "sigma", "factors", "rendered"],
-        "properties": {
-            "input": {"type": "string"},
-            "poly": {"type": "string"},
-            "hex": {"type": "string"},
-            "sigma": {
-                "type": "object",
-                "required": ["poly", "hex", "degree"],
-                "properties": {
-                    "poly": {"type": "string"},
-                    "hex": {"type": "string"},
-                    "degree": {"type": "integer"},
-                },
-            },
-            "factors": {"type": "array", "items": _FACTOR_ITEM},
-            "rendered": {"type": "string"},
-        },
-    },
-    "perfect": {
-        "type": "object",
-        "required": ["input", "poly", "hex", "degree", "perfect", "indecomposable"],
-        "properties": {
-            "input": {"type": "string"},
-            "poly": {"type": "string"},
-            "hex": {"type": "string"},
-            "degree": {"type": "integer"},
-            "perfect": {"type": "boolean"},
-            "indecomposable": {"type": ["boolean", "null"]},
-        },
-    },
-    "catalog-verify": {
-        "type": "object",
-        "required": ["ok", "mersennes", "stypes", "perfects", "degree_sum"],
-        "properties": {
-            "ok": {"type": "boolean"},
-            "mersennes": {"type": "integer"},
-            "stypes": {"type": "integer"},
-            "perfects": {"type": "integer"},
-            "degree_sum": {"type": "integer"},
-        },
-    },
-    "catalog-export": {
-        "type": "object",
-        "required": ["mersennes", "stypes", "perfects", "degree_sum"],
-        "properties": {
-            "mersennes": {"type": "array", "items": _CATALOG_ENTRY},
-            "stypes": {"type": "array", "items": _CATALOG_ENTRY},
-            "perfects": {"type": "array", "items": _CATALOG_ENTRY},
-            "degree_sum": {"type": "integer"},
-        },
-    },
-    "admissible": {
-        "type": "object",
-        "required": [
-            "names", "family", "h_max", "closed_under_star_or_bar",
-            "sigma_x_witness", "member_witnesses", "admissible",
-        ],
-        "properties": {
-            "names": {"type": "array", "items": {"type": "string"}},
-            "family": {"type": "array", "items": {"type": "string"}},
-            "h_max": {"type": "integer"},
-            "closed_under_star_or_bar": {"type": "boolean"},
-            "sigma_x_witness": {"type": ["array", "null"]},
-            "member_witnesses": {"type": "object"},
-            "admissible": {"type": "boolean"},
-        },
-    },
-    "tables": {
-        "type": "object",
-        "required": ["table", "h_max", "rows"],
-        "properties": {
-            "table": {"enum": ["x2h", "mersenne", "s"]},
-            "h_max": {"type": "integer"},
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["base", "base_hex", "exponent", "factors", "rendered"],
-                    "properties": {
-                        "base": {"type": "string"},
-                        "base_hex": {"type": "string"},
-                        "exponent": {"type": "integer"},
-                        "factors": {"type": "array"},
-                        "rendered": {"type": "string"},
-                    },
-                },
-            },
-        },
-    },
-    "theorem": {
-        "type": "object",
-        "required": ["counts", "candidates", "perfect_survivors", "closure", "closure_names", "report_path"],
-        "properties": {
-            "counts": {
-                "type": "object",
-                "required": ["step1", "step2", "step3", "perfect_survivors", "closure"],
-                "properties": {k: {"type": "integer"} for k in
-                               ("step1", "step2", "step3", "perfect_survivors", "closure")},
-            },
-            "candidates": {"type": "array"},
-            "perfect_survivors": {"type": "array", "items": {"type": "string"}},
-            "closure": {"type": "array"},
-            "closure_names": {"type": "array", "items": {"type": "string"}},
-            "report_path": {"type": ["string", "null"]},
-        },
-    },
-    "scan": {
-        "type": "object",
-        "required": ["max_degree", "workers", "count", "results"],
-        "properties": {
-            "max_degree": {"type": "integer"},
-            "workers": {"type": "integer"},
-            "count": {"type": "integer"},
-            "results": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["poly", "hex", "degree", "rendered", "indecomposable"],
-                    "properties": {
-                        "poly": {"type": "string"},
-                        "hex": {"type": "string"},
-                        "degree": {"type": "integer"},
-                        "rendered": {"type": "string"},
-                        "indecomposable": {"type": "boolean"},
-                    },
-                },
-            },
-        },
-    },
+    "factor": _object(
+        input=_STRING, poly=_STRING, hex=_STRING, degree=_INTEGER, irreducible=_BOOLEAN,
+        factors=_FACTOR_ITEMS, rendered=_STRING,
+    ),
+    "sigma": _object(
+        input=_STRING, poly=_STRING, hex=_STRING,
+        sigma=_object(poly=_STRING, hex=_STRING, degree=_INTEGER),
+        factors=_FACTOR_ITEMS, rendered=_STRING,
+    ),
+    "perfect": _object(
+        input=_STRING, poly=_STRING, hex=_STRING, degree=_INTEGER, perfect=_BOOLEAN,
+        indecomposable={"type": ["boolean", "null"]},
+    ),
+    "catalog-verify": _object(
+        ok=_BOOLEAN, mersennes=_INTEGER, stypes=_INTEGER, perfects=_INTEGER, degree_sum=_INTEGER,
+    ),
+    "catalog-export": _object(
+        mersennes=_CATALOG_ENTRIES, stypes=_CATALOG_ENTRIES, perfects=_CATALOG_ENTRIES,
+        degree_sum=_INTEGER,
+    ),
+    "admissible": _object(
+        names=_STRINGS, family=_STRINGS, h_max=_INTEGER, closed_under_star_or_bar=_BOOLEAN,
+        sigma_x_witness={"type": ["array", "null"]}, member_witnesses={"type": "object"},
+        admissible=_BOOLEAN,
+    ),
+    "tables": _object(
+        table={"enum": ["x2h", "mersenne", "s"]}, h_max=_INTEGER,
+        rows={"type": "array", "items": _object(
+            base=_STRING, base_hex=_STRING, exponent=_INTEGER, factors={"type": "array"},
+            rendered=_STRING,
+        )},
+    ),
+    "theorem": _object(
+        counts=_object(
+            step1=_INTEGER, step2=_INTEGER, step3=_INTEGER, perfect_survivors=_INTEGER,
+            closure=_INTEGER,
+        ),
+        candidates={"type": "array"}, perfect_survivors=_STRINGS, closure={"type": "array"},
+        closure_names=_STRINGS, report_path=_STRING_OR_NULL,
+    ),
+    "scan": _object(
+        max_degree=_INTEGER, workers=_INTEGER, count=_INTEGER,
+        results={"type": "array", "items": _object(
+            poly=_STRING, hex=_STRING, degree=_INTEGER, rendered=_STRING, indecomposable=_BOOLEAN,
+        )},
+    ),
 }
 
 
@@ -267,14 +166,15 @@ def _emit(data: dict, fmt: str, text_lines: list[str]) -> None:
 
 
 def _h_max(text: str) -> int:
-    """argparse type of --h-max: an integer >= 1."""
+    """argparse type of --h-max: an integer in 1..MAX_H_MAX."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    try:
+        return _check_h_max(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _normalize_name(raw: str) -> str:

@@ -22,6 +22,10 @@ __all__ = ["Poly", "ParseError", "gcd", "parse", "parse_expr", "X", "ONE", "ZERO
 # not, so the parsers check degrees before computing.
 MAX_PARSE_DEGREE = 1 << 16
 
+# Deepest parenthesis nesting that parse_expr accepts.  Its recursive descent
+# takes four stack frames per '(', so this stays far below the recursion limit.
+_MAX_PARSE_NESTING = 100
+
 # int.bit_count needs 3.11; fall back to counting the binary string on 3.10
 _popcount = getattr(int, "bit_count", None) or (lambda m: bin(m).count("1"))
 
@@ -184,9 +188,12 @@ def _parse_mask(text: str) -> int:
     if not stripped:
         raise ParseError("empty polynomial", text, 0)
     if stripped[:2] in ("0x", "0X"):
+        pos = text.find(stripped[:2])
         if not _HEX_RE.match(stripped):
-            raise ParseError("malformed hex mask", text, text.find(stripped[:2]))
-        return int(stripped, 16)
+            raise ParseError("malformed hex mask", text, pos)
+        mask = int(stripped, 16)
+        _check_degree(mask.bit_length() - 1, text, pos)
+        return mask
     mask = 0
     pos = 0
     for chunk in text.split("+"):
@@ -233,6 +240,7 @@ class _ExprParser:
         self.text = text
         self.tokens = _tokenize_expr(text)
         self.i = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -283,15 +291,21 @@ class _ExprParser:
     def atom(self) -> int:
         tok, pos = self.next()
         if tok == "(":
+            self.depth += 1
+            if self.depth > _MAX_PARSE_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_PARSE_NESTING}", self.text, pos)
             mask = self.expr()
             tok2, pos2 = self.next()
             if tok2 != ")":
                 raise ParseError(f"expected ')', got {tok2!r}", self.text, pos2)
+            self.depth -= 1
             return mask
         if tok == "x":
             return 2
         if tok[:2] in ("0x", "0X"):
-            return int(tok, 16)
+            mask = int(tok, 16)
+            _check_degree(mask.bit_length() - 1, self.text, pos)
+            return mask
         if tok == "0":
             return 0
         if tok == "1":

@@ -41,7 +41,8 @@ from typing import Callable
 from .gf2poly import Poly, _bar, _divmod, _gcd, _mod, _mul, _popcount, _pow
 from .factorizer import Factorization, _irreducible_masks
 from .sigma import _geom_sum, _geom_sums_even, _split_2adic
-from .catalog import DEFAULT_H_MAX, Catalog, _factor_over, _shape_mask, build_catalog
+from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, DEFAULT_H_MAX, Catalog, _check_h_max,
+                      _factor_over, _shape_mask, _shape_members, build_catalog)
 
 __all__ = [
     "ExponentTuple",
@@ -109,10 +110,10 @@ class ExponentTuple:
     u: int
     m: int
     v: int
-    n_i: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
-    u_i: tuple[int, int, int, int, int] = (1, 1, 1, 1, 1)
-    m_j: tuple[int, ...] = (0,) * 8
-    v_j: tuple[int, ...] = (1,) * 8
+    n_i: tuple[int, ...] = (0,) * _SHAPE_MERSENNES
+    u_i: tuple[int, ...] = (1,) * _SHAPE_MERSENNES
+    m_j: tuple[int, ...] = (0,) * _SHAPE_STYPES
+    v_j: tuple[int, ...] = (1,) * _SHAPE_STYPES
 
     @property
     def a(self) -> int:
@@ -133,8 +134,8 @@ class ExponentTuple:
     @classmethod
     def from_exponents(cls, a: int, b: int, c: tuple[int, ...] = (), d: tuple[int, ...] = ()) -> "ExponentTuple":
         """Build the tuple from plain exponents of x, x+1, M_1..M_5, S_1..S_8."""
-        c = tuple(c) + (0,) * (5 - len(c))
-        d = tuple(d) + (0,) * (8 - len(d))
+        c = tuple(c) + (0,) * (_SHAPE_MERSENNES - len(c))
+        d = tuple(d) + (0,) * (_SHAPE_STYPES - len(d))
         n, u = _split_2adic(a)
         m, v = _split_2adic(b)
         ni, ui = zip(*(_split_2adic(k) for k in c))
@@ -145,9 +146,10 @@ class ExponentTuple:
         """Check membership in the bounded parameter ranges of the search."""
         t = self
         pairs = [(t.n, t.u), (t.m, t.v), *zip(t.n_i, t.u_i), *zip(t.m_j, t.v_j)]
-        boxes = [_X_PAIRS, _X_PAIRS, *_M_PAIRS, _S1_PAIRS, *[_S_TAIL_PAIRS] * 7]
+        boxes = [_X_PAIRS, _X_PAIRS, *_M_PAIRS, _S1_PAIRS, *[_S_TAIL_PAIRS] * (_SHAPE_STYPES - 1)]
         ok = (
-            (len(t.n_i), len(t.u_i), len(t.m_j), len(t.v_j)) == (5, 5, 8, 8)
+            (len(t.n_i), len(t.u_i), len(t.m_j), len(t.v_j))
+            == (_SHAPE_MERSENNES, _SHAPE_MERSENNES, _SHAPE_STYPES, _SHAPE_STYPES)
             and all(pair in box.values() for pair, box in zip(pairs, boxes))
         )
         if not ok:
@@ -236,8 +238,9 @@ def compute_sigma_exponents(t: ExponentTuple) -> SigmaExponents:
     """Evaluate the closed-form exponents of the tracked primes in sigma(A)."""
     t.validate()
     cat = _cat()
-    a_i, b_i = zip(*(e.params for e in cat.mersennes[:5]))
-    alpha_j, beta_j, nu_j = zip(*(e.params for e in cat.stypes[:8]))
+    shape_m, shape_s = _shape_members(cat.mersennes, cat.stypes)
+    a_i, b_i = zip(*(e.params for e in shape_m))
+    alpha_j, beta_j, nu_j = zip(*(e.params for e in shape_s))
 
     n, u, m, v = t.n, t.u, t.m, t.v
     n1, n2, n3 = t.n_i[:3]
@@ -278,8 +281,7 @@ class SigmaTableRow:
 
 
 def _sigma_power_rows(bases: list[tuple[str, int]], h_max: int, catalog: Catalog) -> list[SigmaTableRow]:
-    if h_max < 1:
-        raise ValueError("h_max must be >= 1")
+    _check_h_max(h_max)
     family = [e.poly.mask for e in catalog.mersennes + catalog.stypes]
     rows = []
     for name, bm in bases:
@@ -354,7 +356,8 @@ def pipeline_step2(step1: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def _tuple_mask(t: ExponentTuple, power: Callable[[int, int], int], catalog: Catalog) -> int:
     """A for power = _pow, sigma(A) for power = _geom_sum."""
-    bases = [2, 3] + [e.poly.mask for e in catalog.mersennes[:5] + catalog.stypes[:8]]
+    shape_m, shape_s = _shape_members(catalog.mersennes, catalog.stypes)
+    bases = [2, 3] + [e.poly.mask for e in shape_m + shape_s]
     return _shape_mask(power, (t.a, t.b, *t.c, *t.d), bases)
 
 
@@ -366,7 +369,7 @@ def pipeline_step3(step2: list[tuple[int, ...]]) -> list[tuple[ExponentTuple, Po
     c_4 = gamma_4, c_5 = gamma_5 with c_4, c_5 inside their boxes.
     """
     cat = _cat()
-    nu = tuple(e.params[2] for e in cat.stypes[:8])
+    nu = tuple(e.params[2] for e in _shape_members(cat.mersennes, cat.stypes)[1])
     out = []
     for fields in step2:
         n, u, m, v, n1, u1, n2, u2, d1, d2, d3, d4, d5, d6, d7, d8, m1, v1 = fields
@@ -429,7 +432,9 @@ class SearchReport:
 
 
 def _render_tuple_factorization(t: ExponentTuple) -> str:
-    names = ["x", "(x+1)"] + [f"M_{i}" for i in range(1, 6)] + [f"S_{j}" for j in range(1, 9)]
+    cat = _cat()
+    shape_m, shape_s = _shape_members(cat.mersennes, cat.stypes)
+    names = ["x", "(x+1)"] + [e.name for e in shape_m + shape_s]
     parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, (t.a, t.b, *t.c, *t.d)) if e]
     return " * ".join(parts) if parts else "1"
 

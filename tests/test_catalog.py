@@ -12,6 +12,7 @@ import expected
 from gf2sigma.catalog import (
     DEFAULT_H_MAX,
     EXPECTED_DEGREE_SUM,
+    MAX_H_MAX,
     check_admissible,
     is_mersenne_prime,
     one_plus_product,
@@ -204,6 +205,11 @@ class TestAdmissibility:
         m1 = catalog["M_1"].poly
         with pytest.raises(ValueError):
             check_admissible([m1 * m1])
+
+    def test_h_max_outside_range_rejected(self, catalog):
+        for h_max in (0, MAX_H_MAX + 1):
+            with pytest.raises(ValueError, match="h_max"):
+                check_admissible([catalog["M_1"].poly], h_max=h_max)
 
     def test_report_json_shape(self, catalog):
         r = check_admissible(self.polys(catalog, ["M_1", "S_1"]))

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 import expected
-from gf2sigma.catalog import build_catalog
+from gf2sigma.catalog import MAX_H_MAX, build_catalog
 from gf2sigma.cli import SCHEMAS, main
 from gf2sigma.search import MAX_SCAN_CEILING
 
 T1_EXPR = "x^2*(x+1)*(x^2+x+1)"
+SCHEMAS_GOLDEN = Path(__file__).parent / "data" / "schemas_golden.json"
 
 
 @pytest.fixture()
@@ -74,6 +76,13 @@ class TestFactor:
 
     @pytest.mark.parametrize("text", ["x^" + "1" * 5000, "(x+1)^" + "1" * 5000])
     def test_overlong_exponent_is_domain_error(self, run, text):
+        code, _, err = run("factor", text)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["0x" + "f" * 20000, "(" * 250 + "x" + ")" * 250])
+    def test_oversized_input_is_domain_error(self, run, text):
         code, _, err = run("factor", text)
         assert code == 1
         assert err.startswith("error:")
@@ -178,6 +187,11 @@ class TestAdmissible:
         assert code == 2
         assert "--h-max" in err
 
+    def test_h_max_above_maximum_is_usage_error(self, run):
+        code, _, err = run("admissible", "M_1", "--h-max", str(MAX_H_MAX + 1))
+        assert code == 2
+        assert f"1..{MAX_H_MAX}" in err
+
     def test_name_normalization(self, run_json):
         code, data, _ = run_json("admissible", "m1")
         assert code == 0
@@ -207,6 +221,11 @@ class TestTables:
         code, _, err = run("tables", "x2h", "--h-max", "0")
         assert code == 2
         assert "--h-max" in err
+
+    def test_h_max_above_maximum_is_usage_error(self, run):
+        code, _, err = run("tables", "s", "--h-max", str(MAX_H_MAX + 1))
+        assert code == 2
+        assert f"1..{MAX_H_MAX}" in err
 
     def test_x2h_text_lines(self, run):
         code, out, _ = run("tables", "x2h")
@@ -320,3 +339,8 @@ class TestUsageErrors:
 def test_every_schema_is_itself_valid():
     for key, schema in SCHEMAS.items():
         jsonschema.Draft7Validator.check_schema(schema)
+
+
+def test_schemas_match_golden():
+    """The published schemas are pinned byte for byte."""
+    assert json.dumps(SCHEMAS, indent=2) == SCHEMAS_GOLDEN.read_text()

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import oracles
+from gf2sigma import gf2poly
 from gf2sigma.gf2poly import ONE, X, ZERO, ParseError, Poly, gcd, parse, parse_expr
 
 M1 = Poly(0b111)  # x^2+x+1
@@ -121,6 +122,29 @@ class TestParsePrint:
             assert ei.value.pos == pos
         assert parse("x^" + "0" * 5000 + "3") == X ** 3  # leading zeros do not count
         assert parse_expr("(x+1)^" + "0" * 5000 + "2") == (X + ONE) ** 2
+
+    def test_hex_mask_degree_limit(self):
+        """A hex mask obeys the same degree limit as the other forms."""
+        for fn, text, pos in [(parse, " 0x" + "f" * 20000, 1),
+                              (parse_expr, " 0x" + "f" * 20000, 1),
+                              (parse_expr, "x*0x2" + "0" * 16384, 2),
+                              (parse, "0x2" + "0" * 16384, 0)]:
+            with pytest.raises(ParseError) as ei:
+                fn(text)
+            assert ei.value.pos == pos
+        top = "0x1" + "0" * 16384  # x^65536
+        assert parse(top) == parse_expr(top) == X ** 65536
+
+    def test_nesting_limit(self):
+        """Parentheses nested past the limit raise ParseError at the first
+        '(' too deep, not RecursionError."""
+        limit = gf2poly._MAX_PARSE_NESTING
+        ok = "(" * limit + "x+1" + ")" * limit
+        assert parse_expr(ok + "*" + ok) == (X + ONE) ** 2
+        for depth in (limit + 1, 250, 5000):
+            with pytest.raises(ParseError) as ei:
+                parse_expr("x*" + "(" * depth + "x" + ")" * depth)
+            assert ei.value.pos == 2 + limit
 
 
 class TestRingOps:

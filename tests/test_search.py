@@ -11,6 +11,7 @@ import pytest
 import expected
 import oracles
 from gf2sigma import search
+from gf2sigma.catalog import MAX_H_MAX
 from gf2sigma.factorizer import _irreducible_masks, factor
 from gf2sigma.gf2poly import ONE, X, ZERO, Poly
 from gf2sigma.search import (
@@ -68,6 +69,11 @@ class TestTables:
         for table in (sigma_x2h_table, sigma_mersenne_table, sigma_s_table):
             with pytest.raises(ValueError):
                 table(h_max=0)
+
+    def test_h_max_above_maximum_rejected(self):
+        for table in (sigma_x2h_table, sigma_mersenne_table, sigma_s_table):
+            with pytest.raises(ValueError, match="h_max"):
+                table(h_max=MAX_H_MAX + 1)
 
     def all_rows(self, catalog):
         return sigma_x2h_table() + sigma_mersenne_table() + sigma_s_table()
