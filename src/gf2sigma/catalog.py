@@ -15,19 +15,21 @@ over the union of the two irreducible rosters, distinctness).
 `check_admissible` decides whether a family of odd irreducibles satisfies any
 of the three closure conditions that make the classification theorem apply,
 searching sigma witnesses up to a configurable even-exponent bound h_max; a
-failed search is reported as "not established up to h_max", never as a
-refutation.
+failed search is reported as "not established up to h_max".  For a family
+drawn from the two rosters that is also a proof once h_max >= 92: every
+roster prime divides any sigma(T^2h) at most once, x and x+1 never divide it
+for T in the roster, and the roster degrees sum to 184; so a split needs
+2h*deg T <= 184, and no table row or witness exists beyond h = 92/deg T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd as _int_gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .gf2poly import Poly, _bar, _divide_out, _mul, _pow, _star
+from .gf2poly import Poly, _bar, _divide_out, _mod, _mul, _pow, _sqr, _star
 from .factorizer import _is_irreducible_mask
-from .sigma import _geom_sums_even
 
 __all__ = [
     "AdmissibilityReport",
@@ -41,9 +43,9 @@ __all__ = [
 ]
 
 DEFAULT_H_MAX = 92  # degree bound: sigma arguments of even exponent <= 184
-# The tables' cost grows about 4x per doubling of h_max, and check_admissible
-# is slowest on members with no 1+T witness: for the fifteen S-types it took
-# 8.7 s at h_max = 184 and 43 s at 368 on a 2-core machine.
+# An input limit.  At h_max = 184 the three tables took 0.04 s together and
+# check_admissible over the fifteen S-types 0.07 s (2-core machine, CPython
+# 3.11); roster families have nothing beyond 92 (see the module docstring).
 MAX_H_MAX = 184
 
 
@@ -309,29 +311,57 @@ def build_catalog() -> Catalog:
 # ---------------------------------------------------------------------------
 
 
-def _factor_over(value: int, masks: Iterable[int]) -> list[tuple[int, int]] | None:
-    """Factor a nonzero value over the prime masks by trial division.
+def _even_sigma_valuations(bm: int, masks: Iterable[int], h_count: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Yield (h, [(q, v_q(sigma(bm^2h))), ...]) for h = 1..h_count over the
+    distinct prime masks q that divide sigma(bm^2h), in the order of masks.
 
-    Returns [(q, e), ...] in the order of masks, or None when value has a
-    prime factor outside them.
+    sigma(bm^2h) = (bm^n + 1)/(bm + 1) with n = 2h + 1.  Step r <- r*bm^2
+    mod q over odd n.  If q divides bm, r stays 0 and q divides no
+    sigma(bm^2h), which is 1 mod q.  Otherwise the order ord of bm mod q
+    divides 2^deg q - 1, which is odd, so it is the first odd n with r = 1.
+    Let c_q = v_q(bm^ord + 1) - v_q(bm + 1).  If ord divides n, then with
+    B = bm^ord, (bm^n + 1)/(B + 1) = 1 + B + ... + B^(n/ord - 1) = n/ord = 1
+    mod q in characteristic 2, so q divides sigma(bm^2h) exactly c_q times.
+    Otherwise q divides neither bm^n + 1 nor bm + 1 (else ord = 1), nor
+    sigma(bm^2h).  Each (bm, q) costs at most h_count mulmods mod q and one
+    _divide_out of bm^ord + 1; sigma(bm^2h) itself is never formed.
     """
-    out = []
+    n_max = 2 * h_count + 1
+    profile = []
     for q in masks:
-        if value == 1:
-            break
-        value, e = _divide_out(value, q)
-        if e:
-            out.append((q, e))
-    return out if value == 1 else None
+        step = _mod(_sqr(bm), q)
+        r, n = _mod(bm, q), 1
+        while r != 1 and n < n_max:
+            r, n = _mod(_mul(r, step), q), n + 2
+        if r == 1:
+            c = _divide_out(_pow(bm, n) ^ 1, q)[1] - _divide_out(bm ^ 1, q)[1]
+            if c:
+                profile.append((q, n, c))
+    for h in range(1, h_count + 1):
+        yield h, [(q, c) for q, order, c in profile if (2 * h + 1) % order == 0]
+
+
+def _even_sigma_splits(bm: int, masks: Iterable[int], h_count: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """The (h, [(q, e), ...]) above whose q^e make up all of sigma(bm^2h), of degree 2h*deg bm."""
+    degree = 2 * (bm.bit_length() - 1)
+    return ((h, split) for h, split in _even_sigma_valuations(bm, masks, h_count)
+            if sum(e * (q.bit_length() - 1) for q, e in split) == h * degree)
+
+
+def _splits_over(value: int, masks: Iterable[int]) -> bool:
+    """True iff the nonzero value is a product of the prime masks, by trial division."""
+    for q in masks:
+        value = _divide_out(value, q)[0]
+    return value == 1
 
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Outcome of the three admissibility conditions for one family.
 
-    `admissible` means established by at least one condition; a False value
-    only means "not established with witnesses up to h_max", never a proof
-    of inadmissibility.
+    `admissible` means established by at least one condition.  A False value
+    means "not established with witnesses up to h_max"; for a roster family
+    at h_max >= 92 that proves no witness exists (see the module docstring).
     """
 
     family: tuple[Poly, ...]
@@ -380,32 +410,19 @@ def check_admissible(family: Iterable[Poly], h_max: int = DEFAULT_H_MAX) -> Admi
     # (i) closure under star or bar, member by member
     cond_i = all(_star(m) in mask_set or _bar(m) in mask_set for m in masks)
 
-    # (ii) some sigma(x^2h) or sigma((x+1)^2h) factors entirely inside the family
-    cond_ii = None
-    if masks:
-        sums = zip(_geom_sums_even(2, h_max), _geom_sums_even(3, h_max))
-        for h, (sx, sx1) in enumerate(sums, start=1):
-            if _factor_over(sx, masks) is not None:
-                cond_ii = (h, "x")
-                break
-            if _factor_over(sx1, masks) is not None:
-                cond_ii = (h, "x+1")
-                break
+    # (ii) some sigma(x^2h) or sigma((x+1)^2h) splits over the family: least h, x first
+    cond_ii = min(((h, side) for side, bm in (("x", 2), ("x+1", 3))
+                   for h, _ in _even_sigma_splits(bm, masks, h_max)), default=None)
 
     # (iii) every member has 1+T factoring, or some sigma(T^2h) factoring,
     # over the family together with x and x+1
     witnesses: dict[str, dict | None] = {}
     for p, m in zip(members, masks):
-        key = str(p)
-        if _factor_over(m ^ 1, with_linear) is not None:
-            witnesses[key] = {"kind": "one_plus_factors"}
-            continue
-        found = None
-        for h, acc in enumerate(_geom_sums_even(m, h_max), start=1):
-            if _factor_over(acc, with_linear) is not None:
-                found = {"kind": "sigma_even_power", "h": h}
-                break
-        witnesses[key] = found
+        if _splits_over(m ^ 1, with_linear):
+            witnesses[str(p)] = {"kind": "one_plus_factors"}
+        else:
+            h = next((h for h, _ in _even_sigma_splits(m, with_linear, h_max)), None)
+            witnesses[str(p)] = {"kind": "sigma_even_power", "h": h} if h else None
 
     return AdmissibilityReport(
         family=tuple(members),

@@ -34,7 +34,11 @@ class ParseError(ValueError):
     """Malformed polynomial text; carries the 0-based offending position."""
 
     def __init__(self, message: str, text: str, pos: int):
-        super().__init__(f"{message} at position {pos} in {text!r}")
+        quoted = repr(text)
+        if len(text) > 80:  # quote the 60 characters around pos, '...' marking cuts
+            start = max(0, min(pos - 30, len(text) - 60))
+            quoted = f"{'...' * (start > 0)}{text[start:start + 60]!r}{'...' * (start + 60 < len(text))}"
+        super().__init__(f"{message} at position {pos} in {quoted}")
         self.text = text
         self.pos = pos
 

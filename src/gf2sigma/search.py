@@ -31,7 +31,6 @@ The soundness argument is in `exhaustive_scan`'s docstring.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -40,9 +39,9 @@ from typing import Callable
 
 from .gf2poly import Poly, _bar, _divmod, _gcd, _mod, _mul, _popcount, _pow
 from .factorizer import Factorization, _irreducible_masks
-from .sigma import _geom_sum, _geom_sums_even, _split_2adic
+from .sigma import _geom_sum, _split_2adic
 from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, DEFAULT_H_MAX, Catalog, _check_h_max,
-                      _factor_over, _shape_mask, _shape_members, build_catalog)
+                      _even_sigma_splits, _shape_mask, _shape_members, build_catalog)
 
 __all__ = [
     "ExponentTuple",
@@ -283,22 +282,10 @@ class SigmaTableRow:
 def _sigma_power_rows(bases: list[tuple[str, int]], h_max: int, catalog: Catalog) -> list[SigmaTableRow]:
     _check_h_max(h_max)
     family = [e.poly.mask for e in catalog.mersennes + catalog.stypes]
-    rows = []
-    for name, bm in bases:
-        deg = bm.bit_length() - 1
-        # the degree bound 2h*deg <= 2*h_max
-        for h, acc in enumerate(_geom_sums_even(bm, h_max // deg), start=1):
-            fac = _factor_over(acc, family)
-            if fac is not None:
-                rows.append(
-                    SigmaTableRow(
-                        base_name=name,
-                        base=Poly(bm),
-                        exponent=2 * h,
-                        factorization=Factorization(tuple((Poly(q), e) for q, e in fac)),
-                    )
-                )
-    return rows
+    # the degree bound 2h*deg <= 2*h_max
+    return [SigmaTableRow(name, Poly(bm), 2 * h, Factorization(tuple((Poly(q), e) for q, e in fac)))
+            for name, bm in bases
+            for h, fac in _even_sigma_splits(bm, family, h_max // (bm.bit_length() - 1))]
 
 
 def sigma_x2h_table(h_max: int = DEFAULT_H_MAX, catalog: Catalog | None = None) -> list[SigmaTableRow]:
@@ -611,6 +598,7 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = 
     if workers <= 1:
         _scan_children(primes, 0, 1, 1, 1, max_degree, half, found)
     else:
+        import multiprocessing  # only the pool path pays for this import
         tasks = [(idx, e, max_degree) for idx, p in enumerate(primes)
                  for e in range(1, half // (p.bit_length() - 1) + 1)]
         with multiprocessing.Pool(workers, initializer=_scan_task_init, initargs=(primes,)) as pool:

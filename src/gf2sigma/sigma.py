@@ -15,9 +15,8 @@ which is the identity driving every exponent computation in `search`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .gf2poly import Poly, _mul, _pow, _sqr
+from .gf2poly import Poly, _mul, _pow
 from .factorizer import Factorization, _factor_mask, _is_irreducible_mask, factor
 
 __all__ = [
@@ -36,15 +35,6 @@ def _geom_sum(pm: int, k: int) -> int:
     for _ in range(k):
         acc = _mul(acc, pm) ^ 1
     return acc
-
-
-def _geom_sums_even(bm: int, h_max: int) -> Iterator[int]:
-    """sigma(b^2), sigma(b^4), ..., sigma(b^(2*h_max)) by acc <- acc*b^2 + b + 1."""
-    acc = 1
-    bsq = _sqr(bm)
-    for _ in range(h_max):
-        acc = _mul(acc, bsq) ^ bm ^ 1
-        yield acc
 
 
 def _split_2adic(k: int) -> tuple[int, int]:

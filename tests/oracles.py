@@ -39,6 +39,16 @@ def divmod_(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
+def valuation(a: int, q: int) -> int:
+    """Largest e such that q^e divides the nonzero a, by long division."""
+    e = 0
+    while True:
+        quo, rem = divmod_(a, q)
+        if rem:
+            return e
+        a, e = quo, e + 1
+
+
 def pow_(a: int, k: int) -> int:
     """k-fold product by repeated multiplication (no squaring shortcut)."""
     out = 1

@@ -11,6 +11,7 @@ import pytest
 import expected
 from gf2sigma.catalog import MAX_H_MAX, build_catalog
 from gf2sigma.cli import SCHEMAS, main
+from gf2sigma.gf2poly import ParseError, parse_expr
 from gf2sigma.search import MAX_SCAN_CEILING
 
 T1_EXPR = "x^2*(x+1)*(x^2+x+1)"
@@ -87,6 +88,10 @@ class TestFactor:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+        with pytest.raises(ParseError) as ei:
+            parse_expr(text)
+        assert f"at position {ei.value.pos} in " in err
+        assert len(err.encode()) < 200
 
     def test_text_and_json_carry_same_facts(self, run, run_json):
         code, out, _ = run("factor", T1_EXPR)

@@ -99,6 +99,15 @@ class TestParsePrint:
         assert isinstance(ei.value, ValueError)
         assert ei.value.pos >= 0
         assert ei.value.text == "x^2+zzz"
+        assert str(ei.value) == "malformed term 'zzz' at position 4 in 'x^2+zzz'"
+
+    def test_parse_error_clips_long_text(self):
+        """Text over 80 characters is quoted as an excerpt around pos."""
+        text = "x+" * 50 + "y" + "+x" * 50
+        with pytest.raises(ParseError) as ei:
+            parse_expr(text)
+        assert (ei.value.text, ei.value.pos) == (text, 100)
+        assert str(ei.value) == f"unexpected character at position 100 in ...{text[70:130]!r}..."
 
     def test_degree_limit(self):
         """Powers, products and x^k terms above degree 2^16 are rejected."""

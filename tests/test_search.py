@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import random
 from pathlib import Path
 
@@ -357,7 +358,7 @@ class TestExhaustiveScan:
             def imap_unordered(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(search.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(search, "_SCAN_PRIMES", [])
         assert exhaustive_scan(12, workers=64) == exhaustive_scan(12)
