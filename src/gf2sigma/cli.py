@@ -30,7 +30,8 @@ import tempfile
 from . import __version__
 from .gf2poly import Poly, parse_expr
 from .factorizer import Factorization, factor
-from .sigma import is_indecomposable_perfect, is_perfect, sigma
+# bench/tracing.py wraps cli.is_perfect and cli.is_indecomposable_perfect by name
+from .sigma import _perfect_verdict, is_indecomposable_perfect, is_perfect, sigma  # noqa: F401
 from .catalog import DEFAULT_H_MAX, CatalogError, _check_h_max, build_catalog, check_admissible
 from .search import (
     DEFAULT_SCAN_CEILING,
@@ -224,8 +225,8 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
 
 def _cmd_perfect(args: argparse.Namespace) -> int:
     p = parse_expr(args.poly)
-    perfect = is_perfect(p)
-    indec = is_indecomposable_perfect(p) if perfect else None
+    value, indec = _perfect_verdict(p)
+    perfect = indec is not None
     data = {
         "input": args.poly,
         "poly": str(p),
@@ -238,7 +239,7 @@ def _cmd_perfect(args: argparse.Namespace) -> int:
         kind = "indecomposable" if indec else "decomposable"
         lines = [f"{p}: perfect ({kind})"]
     else:
-        lines = [f"{p}: not perfect (sigma = {sigma(p).value})"]
+        lines = [f"{p}: not perfect (sigma = {Poly(value)})"]
     _emit(data, args.format, lines)
     return 0 if perfect else 1
 

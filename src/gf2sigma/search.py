@@ -4,11 +4,12 @@ Everything here revolves around the shape
 A = x^a (x+1)^b * prod M_i^c_i * prod S_j^d_j with exponents written
 2-adically: a = 2^n u - 1, b = 2^m v - 1, c_i = 2^{n_i} u_i - 1,
 d_j = 2^{m_j} v_j - 1 (u, v, u_i, v_j odd).  sigma splits geometrically over
-that 2-adic form, so the exponent of every tracked prime in sigma(A) is an
-explicit integer formula in the tuple; `compute_sigma_exponents` evaluates
-those formulas and the pipeline solves sigma(A) = A as a fixed point of the
-exponent system in three steps, then closes the perfect survivors under the
-x -> x+1 conjugation.
+that 2-adic form, so `_sigma_system` generates the vector v_Q(sigma(P^e))
+for each shape prime P and exponent e from 1+P and the valuation profile
+`catalog._even_sigma_valuations`; no order or exponent is listed by hand.
+`compute_sigma_exponents` sums those vectors, and the pipeline solves
+sigma(A) = A as a fixed point of that system in three steps, then closes
+the perfect survivors under the x -> x+1 conjugation.
 
 The sigma tables enumerate which sigma(base^{2h}) factor entirely over the
 28-member catalog family, under the degree bound 2h*deg(base) <= 2*h_max
@@ -35,13 +36,16 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import product
+from operator import lshift
+from typing import Callable, Iterable
 
-from .gf2poly import Poly, _bar, _divmod, _gcd, _mod, _mul, _popcount, _pow
+from .gf2poly import Poly, _bar, _divide_out, _divmod, _gcd, _mod, _mul, _popcount, _pow
 from .factorizer import Factorization, _irreducible_masks
 from .sigma import _geom_sum, _split_2adic
 from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, DEFAULT_H_MAX, Catalog, _check_h_max,
-                      _even_sigma_splits, _shape_mask, _shape_members, build_catalog)
+                      _even_sigma_splits, _even_sigma_valuations, _shape_mask, _shape_members,
+                      build_catalog)
 
 __all__ = [
     "ExponentTuple",
@@ -80,6 +84,7 @@ _M_PAIRS = [_box_pairs(4, (1, 3, 5, 7, 15)), _box_pairs(3, (1, 3)), _box_pairs(3
             _box_pairs(5, (1,)), _box_pairs(5, (1,))]
 _S1_PAIRS = _box_pairs(3, (1, 3))
 _S_TAIL_PAIRS = _box_pairs(1, (1,))
+_BOXES = (_X_PAIRS, _X_PAIRS, *_M_PAIRS, _S1_PAIRS, *(_S_TAIL_PAIRS,) * (_SHAPE_STYPES - 1))
 
 
 class SearchError(RuntimeError):
@@ -135,6 +140,10 @@ class ExponentTuple:
         """Build the tuple from plain exponents of x, x+1, M_1..M_5, S_1..S_8."""
         c = tuple(c) + (0,) * (_SHAPE_MERSENNES - len(c))
         d = tuple(d) + (0,) * (_SHAPE_STYPES - len(d))
+        for name, k in [("a", a), ("b", b), *((f"c_{i}", k) for i, k in enumerate(c, 1)),
+                        *((f"d_{j}", k) for j, k in enumerate(d, 1))]:
+            if k < 0:
+                raise ValueError(f"exponent {name} must be >= 0, got {k}")
         n, u = _split_2adic(a)
         m, v = _split_2adic(b)
         ni, ui = zip(*(_split_2adic(k) for k in c))
@@ -145,11 +154,10 @@ class ExponentTuple:
         """Check membership in the bounded parameter ranges of the search."""
         t = self
         pairs = [(t.n, t.u), (t.m, t.v), *zip(t.n_i, t.u_i), *zip(t.m_j, t.v_j)]
-        boxes = [_X_PAIRS, _X_PAIRS, *_M_PAIRS, _S1_PAIRS, *[_S_TAIL_PAIRS] * (_SHAPE_STYPES - 1)]
         ok = (
             (len(t.n_i), len(t.u_i), len(t.m_j), len(t.v_j))
             == (_SHAPE_MERSENNES, _SHAPE_MERSENNES, _SHAPE_STYPES, _SHAPE_STYPES)
-            and all(pair in box.values() for pair, box in zip(pairs, boxes))
+            and all(pair in box.values() for pair, box in zip(pairs, _BOXES))
         )
         if not ok:
             raise ValueError(f"exponent tuple outside the supported ranges: {t}")
@@ -173,87 +181,55 @@ class SigmaExponents:
     delta: tuple[int, ...]
 
 
-def _chi(val: int, *targets: int) -> int:
-    return 1 if val in targets else 0
+# An exponent vector over the shape primes packs into one int, _W bits per
+# prime in shape order, so adding vectors adds ints and the equations of a
+# run of consecutive primes are one slice.  No field overflows: every entry
+# of a sum is at most v_Q(sigma(A)) <= deg A, below 2^_W over the box (tested).
+_W = 16
 
 
-# The exponent formulas below each read only the parameters they need, so
-# the pipeline steps evaluate them as soon as those parameters are fixed.
+def _pack(exps: Iterable[int]) -> int:
+    return sum(e << (_W * q) for q, e in enumerate(exps))
 
 
-def _one_plus_p_part(ks: tuple[int, ...], weights: tuple[int, ...]) -> int:
-    """Sum of (2^k - 1) * w over the pairs (k, w).
+def _unpack(packed: int) -> tuple[int, ...]:
+    return tuple(packed >> (_W * q) & ((1 << _W) - 1) for q in range(len(_BOXES)))
 
-    Each p^(2^k s - 1) in A puts (1+p)^(2^k - 1) into sigma(A); w is the
-    exponent of the counted prime in 1+p.
+
+def _shape_bases(catalog: Catalog) -> list[int]:
+    """The masks of x, x+1, M_1..M_5, S_1..S_8, in exponent order."""
+    shape_m, shape_s = _shape_members(catalog.mersennes, catalog.stypes)
+    return [2, 3] + [e.poly.mask for e in shape_m + shape_s]
+
+
+@lru_cache(maxsize=1)
+def _sigma_system() -> tuple[dict[int, int], ...]:
+    """For each shape prime P, map each exponent e of its box to the packed
+    vector of v_Q(sigma(P^e)) over the shape primes Q.
+
+    With e = 2^k s - 1, sigma(P^e) = (1+P)^(2^k-1) * sigma(P^(s-1))^(2^k)
+    (`sigma.check_geometric_split`), so
+    v_Q(sigma(P^e)) = (2^k - 1) v_Q(1+P) + 2^k v_Q(sigma(P^(s-1))),
+    the last term from the order profile `_even_sigma_valuations`.  Built on
+    first use, so importing the module and building the catalog never pay.
     """
-    return sum(((1 << k) - 1) * w for k, w in zip(ks, weights))
-
-
-def _gamma1(n: int, u: int, m: int, v: int, n2: int, u2: int, n3: int, u3: int,
-            m_j: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    """Exponent of M_1 in sigma(A); nu_j is the M_1 exponent in S_j + 1."""
-    return (
-        _one_plus_p_part(m_j, nu)
-        + (_chi(u, 3, 9, 15) << n) + (_chi(v, 3, 9, 15) << m)
-        + (_chi(u2, 3) << n2) + (_chi(u3, 3) << n3)
-    )
-
-
-def _gamma2(n: int, u: int, m: int, v: int, n1: int, u1: int) -> int:
-    """Exponent of M_2 in sigma(A), and of M_3 too."""
-    return (_chi(u, 7) << n) + (_chi(v, 7) << m) + (_chi(u1, 7) << n1)
-
-
-def _gamma4(n: int, u: int, m: int, v: int, n1: int, u1: int, n3: int, u3: int,
-            m1: int, v1: int) -> int:
-    """Exponent of M_4 in sigma(A).
-
-    The exponent of M_5 is its bar image: swap (n, u) with (m, v) and pass
-    (n2, u2) for (n3, u3), since bar exchanges x with x+1, M_2 with M_3 and
-    M_4 with M_5.
-    """
-    return (
-        (_chi(u, 5, 15) << n) + (_chi(v, 15) << m) + (_chi(u1, 15) << n1)
-        + (_chi(u3, 3) << n3) + (_chi(v1, 3) << m1)
-    )
-
-
-def _deltas(n: int, u: int, m: int, v: int, n1: int, u1: int) -> tuple[int, ...]:
-    """Exponents of S_1..S_8 in sigma(A)."""
-    return (
-        (_chi(u, 15) << n) + (_chi(v, 15) << m) + (_chi(u1, 3, 15) << n1),
-        _chi(u1, 7) << n1,
-        _chi(u, 13) << n,
-        _chi(u, 9) << n,
-        _chi(v, 9) << m,
-        _chi(v, 13) << m,
-        _chi(u1, 15) << n1,
-        _chi(u1, 5, 15) << n1,
-    )
+    bases = _shape_bases(_cat())
+    shift = {q: _W * i for i, q in enumerate(bases)}
+    system = []
+    for p, box in zip(bases, _BOXES):
+        one_plus = sum(_divide_out(p ^ 1, q)[1] << shift[q] for q in bases)
+        even = [0] + [sum(c << shift[q] for q, c in split) for _, split
+                      in _even_sigma_valuations(p, bases, max(s for _, s in box.values()) // 2)]
+        system.append({e: ((1 << k) - 1) * one_plus + (even[s // 2] << k) for e, (k, s) in box.items()})
+    return tuple(system)
 
 
 def compute_sigma_exponents(t: ExponentTuple) -> SigmaExponents:
-    """Evaluate the closed-form exponents of the tracked primes in sigma(A)."""
+    """Exponents of the shape primes in sigma(A), summing the generated
+    vector of each prime power of A."""
     t.validate()
-    cat = _cat()
-    shape_m, shape_s = _shape_members(cat.mersennes, cat.stypes)
-    a_i, b_i = zip(*(e.params for e in shape_m))
-    alpha_j, beta_j, nu_j = zip(*(e.params for e in shape_s))
-
-    n, u, m, v = t.n, t.u, t.m, t.v
-    n1, n2, n3 = t.n_i[:3]
-    u1, u2, u3 = t.u_i[:3]
-    m1, v1 = t.m_j[0], t.v_j[0]
-
-    # 1 + (x+1) = x and 1 + x = x+1
-    alpha = _one_plus_p_part((m, *t.n_i, *t.m_j), (1, *a_i, *alpha_j))
-    beta = _one_plus_p_part((n, *t.n_i, *t.m_j), (1, *b_i, *beta_j))
-    g1 = _gamma1(n, u, m, v, n2, u2, n3, u3, t.m_j, nu_j)
-    g2 = _gamma2(n, u, m, v, n1, u1)
-    g4 = _gamma4(n, u, m, v, n1, u1, n3, u3, m1, v1)
-    g5 = _gamma4(m, v, n, u, n1, u1, n2, u2, m1, v1)
-    return SigmaExponents(alpha, beta, (g1, g2, g2, g4, g5), _deltas(n, u, m, v, n1, u1))
+    v = _unpack(sum(map(dict.__getitem__, _sigma_system(), (t.a, t.b, *t.c, *t.d))))
+    return SigmaExponents(v[0], v[1], v[2:7], v[7:])
 
 
 # ---------------------------------------------------------------------------
@@ -311,68 +287,77 @@ def sigma_s_table(h_max: int = DEFAULT_H_MAX, catalog: Catalog | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def pipeline_step1() -> list[tuple[int, ...]]:
-    """Enumerate 8-tuples (n,u,m,v,n1,u1,n2,u2) with a >= 1, a <= b, c_2 = gamma_2."""
+# The pipeline fixes the shape primes in runs (first index, count): step 1
+# enumerates x, x+1, M_1 and solves M_2, M_3; step 2 solves S_1..S_8; step 3
+# solves M_4, M_5.  Each solved run's equations read only the primes of the
+# runs before it (tested), so its exponents are a slice of their packed sum.
+# A row holds the exponents of the primes fixed so far, in _ORDER.
+_RUNS = ((0, 3), (3, 2), (7, 8), (5, 2))
+_ORDER = [p for first, count in _RUNS for p in range(first, first + count)]
+
+
+def _run_solutions(k: int) -> tuple[int, int, dict[int, tuple[int, ...]]]:
+    """(shift, mask, forced): forced maps each slice sum >> shift & mask that
+    lies in the boxes of _RUNS[k] to its exponents."""
+    first, count = _RUNS[k]
+    forced = {_pack(exps): exps for exps in product(*_BOXES[first:first + count])}
+    return _W * first, (1 << (_W * count)) - 1, forced
+
+
+def _solve_run(rows: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
+    """Extend each row by the exponents of _RUNS[k] that its equations force;
+    drop it where they leave the box."""
+    system = _sigma_system()
+    fixed = [system[p] for p in _ORDER[:_ORDER.index(_RUNS[k][0])]]
+    shift, mask, forced = _run_solutions(k)
     out = []
-    for a, (n, u) in _X_PAIRS.items():
-        if a < 1:
-            continue
-        for b, (m, v) in _X_PAIRS.items():
-            if a > b:
-                continue
-            for n1, u1 in _M_PAIRS[0].values():
-                c2 = _M_PAIRS[1].get(_gamma2(n, u, m, v, n1, u1))
-                if c2:
-                    out.append((n, u, m, v, n1, u1, *c2))
+    for row in rows:
+        exps = forced.get(sum(map(dict.__getitem__, fixed, row)) >> shift & mask)
+        if exps is not None:
+            out.append(row + exps)
+    return out
+
+
+def pipeline_step1() -> list[tuple[int, ...]]:
+    """Exponents (a, b, c_1, c_2, c_3) with 1 <= a <= b and c_2, c_3 solved."""
+    vx, vx1, vm1 = _sigma_system()[:3]  # _RUNS[0]
+    shift, mask, forced = _run_solutions(1)
+    out = []
+    for a, va in vx.items():
+        for b, vb in vx1.items():
+            if 1 <= a <= b:
+                for c1, vc in vm1.items():
+                    exps = forced.get((va + vb + vc) >> shift & mask)
+                    if exps is not None:
+                        out.append((a, b, c1, *exps))
     return out
 
 
 def pipeline_step2(step1: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Extend to 18-tuples (.., d1..d8, m1, v1) with every d_j = delta_j."""
-    out = []
-    for fields in step1:
-        n, u, m, v, n1, u1, _, _ = fields
-        ds = _deltas(n, u, m, v, n1, u1)
-        if not _S_TAIL_PAIRS.keys() >= set(ds[1:]):
-            continue
-        d1 = _S1_PAIRS.get(ds[0])
-        if d1:
-            out.append((*fields, *ds, *d1))
-    return out
+    """Extend each step-1 row by d_1..d_8 solved."""
+    return _solve_run(step1, 2)
 
 
 def _tuple_mask(t: ExponentTuple, power: Callable[[int, int], int], catalog: Catalog) -> int:
     """A for power = _pow, sigma(A) for power = _geom_sum."""
-    shape_m, shape_s = _shape_members(catalog.mersennes, catalog.stypes)
-    bases = [2, 3] + [e.poly.mask for e in shape_m + shape_s]
-    return _shape_mask(power, (t.a, t.b, *t.c, *t.d), bases)
+    return _shape_mask(power, (t.a, t.b, *t.c, *t.d), _shape_bases(catalog))
 
 
 def pipeline_step3(step2: list[tuple[int, ...]]) -> list[tuple[ExponentTuple, Poly]]:
-    """Complete each 18-tuple to a full tuple and keep those with a = alpha, b = beta.
+    """Extend each step-2 row by c_4, c_5 solved and keep the fixed points.
 
-    Completion mirrors (n3, u3) from (n2, u2) because gamma_3 = gamma_2 = c_2,
-    then enforces the remaining fixed-point equations: c_1 = gamma_1 and
-    c_4 = gamma_4, c_5 = gamma_5 with c_4, c_5 inside their boxes.
+    A row is kept when sigma(A) and A have the same exponent at every shape
+    prime; that checks the equations of M_1, x and x+1, which no step solves.
     """
     cat = _cat()
-    nu = tuple(e.params[2] for e in _shape_members(cat.mersennes, cat.stypes)[1])
+    system = _sigma_system()
+    vectors = [system[p] for p in _ORDER]
+    shifts = [_W * p for p in _ORDER]
     out = []
-    for fields in step2:
-        n, u, m, v, n1, u1, n2, u2, d1, d2, d3, d4, d5, d6, d7, d8, m1, v1 = fields
-        n3, u3 = n2, u2  # gamma_3 = gamma_2 forces c_3 = c_2
-        # m_j = d_j for j >= 2: their boxes allow only d_j = 2^{m_j} - 1 <= 1
-        m_j = (m1, d2, d3, d4, d5, d6, d7, d8)
-        if (1 << n1) * u1 - 1 != _gamma1(n, u, m, v, n2, u2, n3, u3, m_j, nu):
-            continue
-        c4 = _M_PAIRS[3].get(_gamma4(n, u, m, v, n1, u1, n3, u3, m1, v1))
-        c5 = _M_PAIRS[4].get(_gamma4(m, v, n, u, n1, u1, n2, u2, m1, v1))
-        if not (c4 and c5):
-            continue
-        t = ExponentTuple(n, u, m, v, (n1, n2, n3, c4[0], c5[0]), (u1, u2, u3, c4[1], c5[1]),
-                          m_j, (v1,) + (1,) * 7)
-        se = compute_sigma_exponents(t)
-        if t.a == se.alpha and t.b == se.beta:
+    for row in _solve_run(step2, 3):
+        if sum(map(dict.__getitem__, vectors, row)) == sum(map(lshift, row, shifts)):
+            exps = [e for _, e in sorted(zip(_ORDER, row))]
+            t = ExponentTuple.from_exponents(exps[0], exps[1], exps[2:7], exps[7:])
             out.append((t, Poly(_tuple_mask(t, _pow, cat))))
     return out
 

@@ -44,9 +44,10 @@ def _split_2adic(k: int) -> tuple[int, int]:
     return t, n >> t
 
 
-def _sigma_mask(m: int) -> int:
+def _sigma_of(parts: list[tuple[int, int]]) -> int:
+    """sigma of prod q^e over the prime powers (q, e)."""
     val = 1
-    for q, e in _factor_mask(m):
+    for q, e in parts:
         val = _mul(val, _geom_sum(q, e))
     return val
 
@@ -72,7 +73,7 @@ def sigma(a: Poly) -> SigmaValue:
     """Sum of all divisors of a nonzero polynomial, with its factorization."""
     if not a.mask:
         raise ValueError("sigma of the zero polynomial is undefined")
-    val = _sigma_mask(a.mask)
+    val = _sigma_of(_factor_mask(a.mask))
     return SigmaValue(value=Poly(val), factored=factor(Poly(val)))
 
 
@@ -80,19 +81,22 @@ def is_perfect(a: Poly) -> bool:
     """True iff sigma(a) = a."""
     if not a.mask:
         raise ValueError("perfectness of the zero polynomial is undefined")
-    return _sigma_mask(a.mask) == a.mask
+    return _sigma_of(_factor_mask(a.mask)) == a.mask
 
 
-def is_indecomposable_perfect(a: Poly) -> bool:
-    """True iff perfect and no proper coprime split into perfects exists.
+def _perfect_verdict(a: Poly) -> tuple[int, bool | None]:
+    """(sigma(a), indecomposable or None when a is not perfect), factoring a once.
 
     sigma is multiplicative, so if a proper nonempty subset of the
     prime-power factors multiplies to a perfect polynomial, the complementary
     subset does too; checking subsets is exactly the decomposability test.
     """
-    if not is_perfect(a):
-        raise ValueError(f"{a} is not perfect")
+    if not a.mask:
+        raise ValueError("perfectness of the zero polynomial is undefined")
     parts = _factor_mask(a.mask)
+    value = _sigma_of(parts)
+    if value != a.mask:
+        return value, None
     w = len(parts)
     powers = [_pow(q, e) for q, e in parts]
     sums = [_geom_sum(q, e) for q, e in parts]
@@ -104,8 +108,16 @@ def is_indecomposable_perfect(a: Poly) -> bool:
                 prod = _mul(prod, powers[i])
                 sig = _mul(sig, sums[i])
         if prod == sig:
-            return False
-    return True
+            return value, False
+    return value, True
+
+
+def is_indecomposable_perfect(a: Poly) -> bool:
+    """True iff perfect and no proper coprime split into perfects exists."""
+    indecomposable = _perfect_verdict(a)[1]
+    if indecomposable is None:
+        raise ValueError(f"{a} is not perfect")
+    return indecomposable
 
 
 def check_geometric_split(p: Poly, exponent: int) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
 
@@ -9,10 +10,13 @@ import jsonschema
 import pytest
 
 import expected
+from gf2sigma import factorizer
 from gf2sigma.catalog import MAX_H_MAX, build_catalog
 from gf2sigma.cli import SCHEMAS, main
 from gf2sigma.gf2poly import ParseError, parse_expr
 from gf2sigma.search import MAX_SCAN_CEILING
+
+sigma_module = importlib.import_module("gf2sigma.sigma")  # the package's sigma is the function
 
 T1_EXPR = "x^2*(x+1)*(x^2+x+1)"
 SCHEMAS_GOLDEN = Path(__file__).parent / "data" / "schemas_golden.json"
@@ -130,6 +134,23 @@ class TestPerfect:
         code, out, _ = run("perfect", "x^2+x")
         assert code == 0
         assert "perfect" in out
+
+    def test_input_factored_once(self, run, monkeypatch):
+        """perfect factors A once and never factors sigma(A), perfect or not."""
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        original = factorizer._factor_mask
+        monkeypatch.setattr(factorizer, "_factor_mask", counting)
+        monkeypatch.setattr(sigma_module, "_factor_mask", counting)
+        for poly in (T1_EXPR, "x^3", "x^4+x+1"):
+            for fmt in ("text", "json"):
+                calls.clear()
+                run("perfect", poly, "--format", fmt)
+                assert calls == [parse_expr(poly).mask], (poly, fmt)
 
 
 class TestCatalog:

@@ -31,7 +31,7 @@ from gf2sigma.search import (
     sigma_s_table,
     sigma_x2h_table,
 )
-from gf2sigma.sigma import is_perfect, sigma_prime_power
+from gf2sigma.sigma import _geom_sum, is_perfect, sigma_prime_power
 
 THEOREM_GOLDEN = Path(__file__).parent / "data" / "theorem_golden.json"
 
@@ -200,6 +200,46 @@ class TestExponentFormulas:
             se = compute_sigma_exponents(t)
             got = _exponents_by_division(_sigma_from_exponents(t, targets), targets)
             assert got == [se.alpha, se.beta, *se.gamma, *se.delta], t
+
+    def test_negative_exponent_rejected_by_name(self):
+        for args, name in (((-1, 0), "a"), ((0, -3), "b"), ((1, 1, (0, -1)), "c_2"),
+                           ((1, 1, (), (0, 0, -2)), "d_3")):
+            with pytest.raises(ValueError, match=f"exponent {name} must be >= 0"):
+                ExponentTuple.from_exponents(*args)
+
+    def test_generated_system_matches_oracle(self, catalog):
+        """Every entry v_Q(sigma(P^e)) of the system, for each shape prime P,
+        each exponent e of its box and each shape prime Q, by long division."""
+        bases = [t.mask for t in _sigma_exponent_targets(catalog)]
+        system = search._sigma_system()
+        assert len(system) == len(bases) == len(search._BOXES)
+        pairs = 0
+        for p, vectors, box in zip(bases, system, search._BOXES):
+            assert set(vectors) == set(box)
+            for e, packed in vectors.items():
+                sigma_pe = _geom_sum(p, e)
+                assert list(search._unpack(packed)) == [oracles.valuation(sigma_pe, q) for q in bases], (p, e)
+                pairs += 1
+        assert pairs == 145
+
+    def test_steps_read_only_fixed_primes(self, catalog):
+        """The runs cover the shape once, and a run's equations have no term
+        from a prime fixed after it, for any exponent in that prime's box."""
+        runs, order = search._RUNS, search._ORDER
+        assert order == [p for first, count in runs for p in range(first, first + count)]
+        assert sorted(order) == list(range(len(search._BOXES)))
+        assert runs[0] == (0, 3)  # step 1 enumerates x, x+1, M_1 itself
+        system = search._sigma_system()
+        for k, (first, count) in enumerate(runs[1:], 1):
+            later = order[order.index(first):]
+            for p in later:
+                for e, packed in system[p].items():
+                    assert search._unpack(packed)[first:first + count] == (0,) * count, (k, p, e)
+
+    def test_packed_fields_cannot_overflow(self, catalog):
+        """v_Q(sigma(A)) <= deg A, and deg A stays below 2^_W over the box."""
+        degrees = [t.degree for t in _sigma_exponent_targets(catalog)]
+        assert sum(max(box) * d for box, d in zip(search._BOXES, degrees)) < 1 << search._W
 
     def test_compute_rejects_invalid_tuple(self):
         with pytest.raises(ValueError):
