@@ -13,13 +13,10 @@ breaks one of the structural facts (bar-conjugate pairing, the degree sum 184
 over the union of the two irreducible rosters, distinctness).
 
 `check_admissible` decides whether a family of odd irreducibles satisfies any
-of the three closure conditions that make the classification theorem apply,
-searching sigma witnesses up to a configurable even-exponent bound h_max; a
-failed search is reported as "not established up to h_max".  For a family
-drawn from the two rosters that is also a proof once h_max >= 92: every
-roster prime divides any sigma(T^2h) at most once, x and x+1 never divide it
-for T in the roster, and the roster degrees sum to 184; so a split needs
-2h*deg T <= 184, and no table row or witness exists beyond h = 92/deg T.
+of the three closure conditions that make the classification theorem apply.
+Its sigma witness searches stop at an h bound derived from the family (see
+`_even_sigma_splits`), past which no sigma(T^2h) can split; so a failed
+search proves that no witness exists, for any family.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from dataclasses import dataclass, field
 from math import gcd as _int_gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .gf2poly import Poly, _bar, _divide_out, _mod, _mul, _pow, _sqr, _star
+from .gf2poly import Poly, _bar, _derivative, _divide_out, _mod, _mul, _pow, _sqr, _star
 from .factorizer import _is_irreducible_mask
 
 __all__ = [
@@ -41,20 +38,6 @@ __all__ = [
     "is_mersenne_prime",
     "one_plus_product",
 ]
-
-DEFAULT_H_MAX = 92  # degree bound: sigma arguments of even exponent <= 184
-# An input limit.  At h_max = 184 the three tables took 0.04 s together and
-# check_admissible over the fifteen S-types 0.07 s (2-core machine, CPython
-# 3.11); roster families have nothing beyond 92 (see the module docstring).
-MAX_H_MAX = 184
-
-
-def _check_h_max(h_max: int) -> int:
-    """Return h_max, or raise ValueError unless 1 <= h_max <= MAX_H_MAX."""
-    if not 1 <= h_max <= MAX_H_MAX:
-        raise ValueError(f"h_max must be in 1..{MAX_H_MAX}, got {h_max}")
-    return h_max
-
 
 class CatalogError(ValueError):
     """A catalog entry failed one of its construction invariants."""
@@ -341,11 +324,24 @@ def _even_sigma_valuations(bm: int, masks: Iterable[int], h_count: int) -> Itera
         yield h, [(q, c) for q, order, c in profile if (2 * h + 1) % order == 0]
 
 
-def _even_sigma_splits(bm: int, masks: Iterable[int], h_count: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """The (h, [(q, e), ...]) above whose q^e make up all of sigma(bm^2h), of degree 2h*deg bm."""
-    degree = 2 * (bm.bit_length() - 1)
-    return ((h, split) for h, split in _even_sigma_valuations(bm, masks, h_count)
-            if sum(e * (q.bit_length() - 1) for q, e in split) == h * degree)
+def _even_sigma_splits(bm: int, masks: Sequence[int]) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Every (h, [(q, e), ...]) of `_even_sigma_valuations` whose q^e make up
+    all of sigma(bm^2h), of degree 2h*deg bm, for an irreducible bm (x and
+    x+1 included).
+
+    No h is left out: the h bound is derived, not chosen.  Let T = bm,
+    S = sigma(T^2h) and n = 2h + 1, so (T + 1)*S = T^n + 1.  Differentiating,
+    T'*S + (T + 1)*S' = n*T^(n-1)*T' = T^(n-1)*T', as n is odd.  If q^e
+    divides S, then q^(e-1) divides S' and S, hence T^(n-1)*T'; and q != T,
+    since S = 1 mod T, so q^(e-1) divides T'.  A split over the distinct primes
+    q != T among masks therefore needs
+    2h*deg T = sum e_q*deg q <= sum deg q + sum v_q(T')*deg q <= sum deg q + deg T',
+    where T' != 0 because an irreducible T is not a square.
+    """
+    degree = bm.bit_length() - 1
+    room = sum(q.bit_length() - 1 for q in set(masks) - {bm}) + _derivative(bm).bit_length() - 1
+    return ((h, split) for h, split in _even_sigma_valuations(bm, masks, room // (2 * degree))
+            if sum(e * (q.bit_length() - 1) for q, e in split) == 2 * h * degree)
 
 
 def _splits_over(value: int, masks: Iterable[int]) -> bool:
@@ -360,12 +356,11 @@ class AdmissibilityReport:
     """Outcome of the three admissibility conditions for one family.
 
     `admissible` means established by at least one condition.  A False value
-    means "not established with witnesses up to h_max"; for a roster family
-    at h_max >= 92 that proves no witness exists (see the module docstring).
+    is a proof that none holds: each witness search covers every h at which
+    a sigma(T^2h) could split (see `_even_sigma_splits`).
     """
 
     family: tuple[Poly, ...]
-    h_max: int
     closed_under_star_or_bar: bool  # condition (i)
     sigma_x_witness: tuple[int, str] | None  # condition (ii): (h, side)
     member_witnesses: dict[str, dict | None]  # condition (iii), keyed by member
@@ -385,16 +380,14 @@ class AdmissibilityReport:
     def to_json(self) -> dict:
         return {
             "family": [p.to_hex() for p in self.family],
-            "h_max": self.h_max,
             "closed_under_star_or_bar": self.closed_under_star_or_bar,
             "sigma_x_witness": list(self.sigma_x_witness) if self.sigma_x_witness else None,
             "member_witnesses": self.member_witnesses,
             "admissible": self.admissible,
-            "conclusive": self.admissible,
         }
 
 
-def check_admissible(family: Iterable[Poly], h_max: int = DEFAULT_H_MAX) -> AdmissibilityReport:
+def check_admissible(family: Iterable[Poly]) -> AdmissibilityReport:
     """Check the three admissibility conditions for a family of odd irreducibles."""
     members = sorted(set(family))
     for p in members:
@@ -402,7 +395,6 @@ def check_admissible(family: Iterable[Poly], h_max: int = DEFAULT_H_MAX) -> Admi
             raise ValueError(f"family member {p} is even")
         if not _is_irreducible_mask(p.mask):
             raise ValueError(f"family member {p} is reducible")
-    _check_h_max(h_max)
     masks = [p.mask for p in members]
     mask_set = set(masks)
     with_linear = masks + [2, 3]
@@ -412,7 +404,7 @@ def check_admissible(family: Iterable[Poly], h_max: int = DEFAULT_H_MAX) -> Admi
 
     # (ii) some sigma(x^2h) or sigma((x+1)^2h) splits over the family: least h, x first
     cond_ii = min(((h, side) for side, bm in (("x", 2), ("x+1", 3))
-                   for h, _ in _even_sigma_splits(bm, masks, h_max)), default=None)
+                   for h, _ in _even_sigma_splits(bm, masks)), default=None)
 
     # (iii) every member has 1+T factoring, or some sigma(T^2h) factoring,
     # over the family together with x and x+1
@@ -421,12 +413,11 @@ def check_admissible(family: Iterable[Poly], h_max: int = DEFAULT_H_MAX) -> Admi
         if _splits_over(m ^ 1, with_linear):
             witnesses[str(p)] = {"kind": "one_plus_factors"}
         else:
-            h = next((h for h, _ in _even_sigma_splits(m, with_linear, h_max)), None)
+            h = next((h for h, _ in _even_sigma_splits(m, with_linear)), None)
             witnesses[str(p)] = {"kind": "sigma_even_power", "h": h} if h else None
 
     return AdmissibilityReport(
         family=tuple(members),
-        h_max=h_max,
         closed_under_star_or_bar=cond_i,
         sigma_x_witness=cond_ii,
         member_witnesses=witnesses,

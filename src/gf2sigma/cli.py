@@ -32,7 +32,7 @@ from .gf2poly import Poly, parse_expr
 from .factorizer import Factorization, factor
 # bench/tracing.py wraps cli.is_perfect and cli.is_indecomposable_perfect by name
 from .sigma import _perfect_verdict, is_indecomposable_perfect, is_perfect, sigma  # noqa: F401
-from .catalog import DEFAULT_H_MAX, CatalogError, _check_h_max, build_catalog, check_admissible
+from .catalog import CatalogError, build_catalog, check_admissible
 from .search import (
     DEFAULT_SCAN_CEILING,
     SCAN_CEILING_ENV,
@@ -95,12 +95,12 @@ SCHEMAS: dict[str, dict] = {
         degree_sum=_INTEGER,
     ),
     "admissible": _object(
-        names=_STRINGS, family=_STRINGS, h_max=_INTEGER, closed_under_star_or_bar=_BOOLEAN,
+        names=_STRINGS, family=_STRINGS, closed_under_star_or_bar=_BOOLEAN,
         sigma_x_witness={"type": ["array", "null"]}, member_witnesses={"type": "object"},
         admissible=_BOOLEAN,
     ),
     "tables": _object(
-        table={"enum": ["x2h", "mersenne", "s"]}, h_max=_INTEGER,
+        table={"enum": ["x2h", "mersenne", "s"]},
         rows={"type": "array", "items": _object(
             base=_STRING, base_hex=_STRING, exponent=_INTEGER, factors={"type": "array"},
             rendered=_STRING,
@@ -164,18 +164,6 @@ def _emit(data: dict, fmt: str, text_lines: list[str]) -> None:
         print(json.dumps(data, indent=2))
     else:
         print("\n".join(text_lines))
-
-
-def _h_max(text: str) -> int:
-    """argparse type of --h-max: an integer in 1..MAX_H_MAX."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    try:
-        return _check_h_max(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _normalize_name(raw: str) -> str:
@@ -293,26 +281,26 @@ def _cmd_admissible(args: argparse.Namespace) -> int:
             )
         polys.append(entry.poly)
         names.append(entry.name)
-    report = check_admissible(polys, h_max=args.h_max)
+    report = check_admissible(polys)
     data = {"names": names, **report.to_json()}
     lines = [
-        f"family: {' '.join(names)} ({len(report.family)} members), h_max={report.h_max}",
+        f"family: {' '.join(names)} ({len(report.family)} members)",
         f"closed under star or bar: {'yes' if report.closed_under_star_or_bar else 'no'}",
     ]
     if report.sigma_x_witness:
         h, side = report.sigma_x_witness
         lines.append(f"sigma({side}^{2 * h}) factors over the family (h={h})")
     else:
-        lines.append("no sigma(x^2h)/sigma((x+1)^2h) witness up to h_max")
+        lines.append("no sigma(x^2h)/sigma((x+1)^2h) witness")
     for member, w in report.member_witnesses.items():
         if w is None:
-            desc = "no witness up to h_max"
+            desc = "no witness"
         elif w["kind"] == "one_plus_factors":
             desc = "1+T splits over the family"
         else:
             desc = f"sigma(T^{2 * w['h']}) splits over the family"
         lines.append(f"  {member}: {desc}")
-    verdict = "admissible" if report.admissible else "not established up to h_max"
+    verdict = "admissible" if report.admissible else "not admissible"
     lines.append(f"verdict: {verdict}")
     _emit(data, args.format, lines)
     return 0 if report.admissible else 1
@@ -322,10 +310,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     cat = build_catalog()
     names = dict(cat.names_by_poly)
     fn = {"x2h": sigma_x2h_table, "mersenne": sigma_mersenne_table, "s": sigma_s_table}[args.table]
-    rows = fn(h_max=args.h_max, catalog=cat)
+    rows = fn(catalog=cat)
     data = {
         "table": args.table,
-        "h_max": args.h_max,
         "rows": [dict(r.to_json(), rendered=r.factorization.render(names)) for r in rows],
     }
     lines = [
@@ -333,7 +320,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         f" = {r.factorization.render(names)}"
         for r in rows
     ]
-    lines.append(f"{len(rows)} rows (h_max={args.h_max})")
+    lines.append(f"{len(rows)} rows")
     _emit(data, args.format, lines)
     return 0
 
@@ -426,12 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("admissible", parents=[fmt], help="check admissibility conditions")
     p.add_argument("names", nargs="+", metavar="NAME",
                    help="roster members (M_1..M_13, S_1..S_15) or F for the whole family")
-    p.add_argument("--h-max", type=_h_max, default=DEFAULT_H_MAX)
     p.set_defaults(fn=_cmd_admissible)
 
     p = sub.add_parser("tables", parents=[fmt], help="sigma factor tables")
     p.add_argument("table", choices=("x2h", "mersenne", "s"))
-    p.add_argument("--h-max", type=_h_max, default=DEFAULT_H_MAX)
     p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser("theorem", parents=[fmt],

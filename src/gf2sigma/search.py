@@ -11,9 +11,9 @@ for each shape prime P and exponent e from 1+P and the valuation profile
 sigma(A) = A as a fixed point of that system in three steps, then closes
 the perfect survivors under the x -> x+1 conjugation.
 
-The sigma tables enumerate which sigma(base^{2h}) factor entirely over the
-28-member catalog family, under the degree bound 2h*deg(base) <= 2*h_max
-(default h_max = 92, i.e. sigma arguments of degree at most 184).
+The sigma tables list every sigma(base^{2h}) that factors entirely over the
+28-member catalog family; `catalog._even_sigma_splits` derives the h bound
+past which none can, so the tables are complete.
 
 `exhaustive_scan` enumerates the monic polynomials of degree 1..max_degree
 by unique factorization (a DFS over ordered prime multisets) while updating
@@ -43,9 +43,8 @@ from typing import Callable, Iterable
 from .gf2poly import Poly, _bar, _divide_out, _divmod, _gcd, _mod, _mul, _popcount, _pow
 from .factorizer import Factorization, _irreducible_masks
 from .sigma import _geom_sum, _split_2adic
-from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, DEFAULT_H_MAX, Catalog, _check_h_max,
-                      _even_sigma_splits, _even_sigma_valuations, _shape_mask, _shape_members,
-                      build_catalog)
+from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, EXPECTED_DEGREE_SUM, Catalog, _even_sigma_splits,
+                      _even_sigma_valuations, _shape_mask, _shape_members, build_catalog)
 
 __all__ = [
     "ExponentTuple",
@@ -70,6 +69,9 @@ DEFAULT_SCAN_CEILING = 24
 # The scan sieves every irreducible up to its degree in a bytearray of
 # 2^(D+1) bytes, 128 MB at D = 26; no ceiling may go above this.
 MAX_SCAN_CEILING = 26
+# bench/tracing.py reads this name on every traced table call; no code here
+# does.  It equals the derived h bound of the x2h table.
+DEFAULT_H_MAX = EXPECTED_DEGREE_SUM // 2
 
 
 def _box_pairs(top: int, odds: tuple[int, ...]) -> dict[int, tuple[int, int]]:
@@ -255,31 +257,29 @@ class SigmaTableRow:
         }
 
 
-def _sigma_power_rows(bases: list[tuple[str, int]], h_max: int, catalog: Catalog) -> list[SigmaTableRow]:
-    _check_h_max(h_max)
+def _sigma_power_rows(bases: list[tuple[str, int]], catalog: Catalog) -> list[SigmaTableRow]:
     family = [e.poly.mask for e in catalog.mersennes + catalog.stypes]
-    # the degree bound 2h*deg <= 2*h_max
     return [SigmaTableRow(name, Poly(bm), 2 * h, Factorization(tuple((Poly(q), e) for q, e in fac)))
             for name, bm in bases
-            for h, fac in _even_sigma_splits(bm, family, h_max // (bm.bit_length() - 1))]
+            for h, fac in _even_sigma_splits(bm, family)]
 
 
-def sigma_x2h_table(h_max: int = DEFAULT_H_MAX, catalog: Catalog | None = None) -> list[SigmaTableRow]:
+def sigma_x2h_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
     """Rows (base in {x, x+1}, 2h) where sigma(base^2h) factors over the family."""
     cat = catalog or _cat()
-    return _sigma_power_rows([("x", 2), ("x+1", 3)], h_max, cat)
+    return _sigma_power_rows([("x", 2), ("x+1", 3)], cat)
 
 
-def sigma_mersenne_table(h_max: int = DEFAULT_H_MAX, catalog: Catalog | None = None) -> list[SigmaTableRow]:
-    """Rows (M, 2h), 2h*deg(M) <= 2*h_max, where sigma(M^2h) factors over the family."""
+def sigma_mersenne_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
+    """Rows (M, 2h) where sigma(M^2h) factors over the family."""
     cat = catalog or _cat()
-    return _sigma_power_rows([(e.name, e.poly.mask) for e in cat.mersennes], h_max, cat)
+    return _sigma_power_rows([(e.name, e.poly.mask) for e in cat.mersennes], cat)
 
 
-def sigma_s_table(h_max: int = DEFAULT_H_MAX, catalog: Catalog | None = None) -> list[SigmaTableRow]:
-    """Rows (S, 2h), 2h*deg(S) <= 2*h_max, where sigma(S^2h) factors over the family."""
+def sigma_s_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
+    """Rows (S, 2h) where sigma(S^2h) factors over the family."""
     cat = catalog or _cat()
-    return _sigma_power_rows([(e.name, e.poly.mask) for e in cat.stypes], h_max, cat)
+    return _sigma_power_rows([(e.name, e.poly.mask) for e in cat.stypes], cat)
 
 
 # ---------------------------------------------------------------------------

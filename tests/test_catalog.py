@@ -10,9 +10,7 @@ import pytest
 
 import expected
 from gf2sigma.catalog import (
-    DEFAULT_H_MAX,
     EXPECTED_DEGREE_SUM,
-    MAX_H_MAX,
     check_admissible,
     is_mersenne_prime,
     one_plus_product,
@@ -190,7 +188,6 @@ class TestAdmissibility:
         r = check_admissible(family)
         assert r.closed_under_star_or_bar
         assert r.admissible
-        assert r.h_max == DEFAULT_H_MAX
 
     def test_member_witness_kinds(self, catalog, family):
         r = check_admissible(family)
@@ -206,17 +203,12 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             check_admissible([m1 * m1])
 
-    def test_h_max_outside_range_rejected(self, catalog):
-        for h_max in (0, MAX_H_MAX + 1):
-            with pytest.raises(ValueError, match="h_max"):
-                check_admissible([catalog["M_1"].poly], h_max=h_max)
-
     def test_report_json_shape(self, catalog):
         r = check_admissible(self.polys(catalog, ["M_1", "S_1"]))
         data = r.to_json()
         assert data["admissible"] is True
-        assert data["conclusive"] == data["admissible"]
-        assert data["h_max"] == DEFAULT_H_MAX
+        assert list(data) == ["family", "closed_under_star_or_bar", "sigma_x_witness",
+                              "member_witnesses", "admissible"]
         assert len(data["family"]) == 2
         assert set(data["member_witnesses"]) == {
             str(catalog["M_1"].poly),

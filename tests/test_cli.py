@@ -11,7 +11,7 @@ import pytest
 
 import expected
 from gf2sigma import factorizer
-from gf2sigma.catalog import MAX_H_MAX, build_catalog
+from gf2sigma.catalog import build_catalog
 from gf2sigma.cli import SCHEMAS, main
 from gf2sigma.gf2poly import ParseError, parse_expr
 from gf2sigma.search import MAX_SCAN_CEILING
@@ -202,21 +202,14 @@ class TestAdmissible:
         assert len(data["names"]) == 28
         assert data["closed_under_star_or_bar"] is True
 
-    def test_h_max_flag(self, run_json):
-        code, data, _ = run_json("admissible", "M_2", "--h-max", "5")
-        assert code == 0
-        assert data["h_max"] == 5
-        assert data["admissible"] is True  # via the 1+T witness
-
-    def test_h_max_below_one_is_usage_error(self, run):
-        code, _, err = run("admissible", "M_1", "--h-max", "0")
-        assert code == 2
-        assert "--h-max" in err
-
-    def test_h_max_above_maximum_is_usage_error(self, run):
-        code, _, err = run("admissible", "M_1", "--h-max", str(MAX_H_MAX + 1))
-        assert code == 2
-        assert f"1..{MAX_H_MAX}" in err
+    def test_negative_verdict_text(self, run):
+        code, out, _ = run("admissible", "S_5")
+        assert code == 1
+        assert out.splitlines()[2:] == [
+            "no sigma(x^2h)/sigma((x+1)^2h) witness",
+            "  x^6+x^4+x^3+x+1: no witness",
+            "verdict: not admissible",
+        ]
 
     def test_name_normalization(self, run_json):
         code, data, _ = run_json("admissible", "m1")
@@ -242,16 +235,6 @@ class TestTables:
         code, data, _ = run_json("tables", which)
         assert code == 0
         assert len(data["rows"]) == rows
-
-    def test_h_max_below_one_is_usage_error(self, run):
-        code, _, err = run("tables", "x2h", "--h-max", "0")
-        assert code == 2
-        assert "--h-max" in err
-
-    def test_h_max_above_maximum_is_usage_error(self, run):
-        code, _, err = run("tables", "s", "--h-max", str(MAX_H_MAX + 1))
-        assert code == 2
-        assert f"1..{MAX_H_MAX}" in err
 
     def test_x2h_text_lines(self, run):
         code, out, _ = run("tables", "x2h")
@@ -356,6 +339,12 @@ class TestUsageErrors:
 
     def test_missing_required_argument(self, run):
         assert run("scan")[0] == 2
+
+    def test_h_max_flag_is_gone(self, run):
+        for argv in (("tables", "x2h"), ("admissible", "M_1")):
+            code, out, err = run(*argv, "--h-max", "92")
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --h-max 92" in err
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0

@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from gf2sigma.catalog import MAX_H_MAX
 from gf2sigma.cli import main
 from gf2sigma.gf2poly import ParseError, Poly, parse, parse_expr
 
@@ -102,7 +101,6 @@ def _small_poly_text(rng: random.Random) -> str:
 
 
 def _random_argv(rng: random.Random) -> list[str]:
-    h_max = ["--h-max", rng.choice(["0", "1", "3", "-2", "x", str(MAX_H_MAX + 1), ""])]
     command = rng.choice(["factor", "sigma", "perfect", "catalog", "admissible", "tables",
                           "scan", "theorem", "frobnicate"])
     if command in ("factor", "sigma", "perfect"):
@@ -111,9 +109,9 @@ def _random_argv(rng: random.Random) -> list[str]:
         argv = [command, rng.choice(["verify", "export", "import"])]
     elif command == "admissible":
         names = ["M_1", "m2", "S_3", "s_13", "T_1", "Q_9", "F", "M_99", ""]
-        argv = [command, *rng.sample(names, rng.randint(0, 2)), *h_max[:rng.randint(0, 2)]]
+        argv = [command, *rng.sample(names, rng.randint(0, 2))]
     elif command == "tables":
-        argv = [command, rng.choice(["x2h", "mersenne", "s", "t"]), *h_max[:rng.randint(0, 2)]]
+        argv = [command, rng.choice(["x2h", "mersenne", "s", "t"])]
     elif command == "scan":
         argv = [command, "--max-degree", rng.choice(["-1", "0", "1", "7", "12", "99", "x"]),
                 "--workers", rng.choice(["0", "1"])][:rng.choice([1, 3, 5])]

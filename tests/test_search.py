@@ -12,7 +12,6 @@ import pytest
 import expected
 import oracles
 from gf2sigma import search
-from gf2sigma.catalog import MAX_H_MAX
 from gf2sigma.factorizer import _irreducible_masks, factor
 from gf2sigma.gf2poly import ONE, X, ZERO, Poly
 from gf2sigma.search import (
@@ -47,7 +46,7 @@ def rows_as_name_maps(rows, names):
 
 class TestTables:
     def test_x2h_table_exact(self, names):
-        rows = rows_as_name_maps(sigma_x2h_table(h_max=92), names)
+        rows = rows_as_name_maps(sigma_x2h_table(), names)
         assert {(b, e): f for b, e, f in rows} == expected.X2H_TABLE
         assert len(rows) == 12
         # exponent sets per side, and nine distinct factorizations overall
@@ -65,16 +64,6 @@ class TestTables:
         rows = rows_as_name_maps(sigma_s_table(), names)
         assert {(b, e): f for b, e, f in rows} == expected.S_TABLE
         assert len(rows) == 2
-
-    def test_h_max_below_one_rejected(self):
-        for table in (sigma_x2h_table, sigma_mersenne_table, sigma_s_table):
-            with pytest.raises(ValueError):
-                table(h_max=0)
-
-    def test_h_max_above_maximum_rejected(self):
-        for table in (sigma_x2h_table, sigma_mersenne_table, sigma_s_table):
-            with pytest.raises(ValueError, match="h_max"):
-                table(h_max=MAX_H_MAX + 1)
 
     def all_rows(self, catalog):
         return sigma_x2h_table() + sigma_mersenne_table() + sigma_s_table()
