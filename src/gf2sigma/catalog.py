@@ -11,6 +11,8 @@ construction:
 Construction fails loudly if any entry is reducible, has the wrong shape, or
 breaks one of the structural facts (bar-conjugate pairing, the degree sum 184
 over the union of the two irreducible rosters, distinctness).
+`build_catalog` builds and verifies afresh on every call; lookups share one
+per-process catalog, `_catalog`.
 
 `check_admissible` decides whether a family of odd irreducibles satisfies any
 of the three closure conditions that make the classification theorem apply.
@@ -22,7 +24,9 @@ search proves that no witness exists, for any family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd as _int_gcd
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .gf2poly import Poly, _bar, _derivative, _divide_out, _mod, _mul, _pow, _sqr, _star
@@ -178,13 +182,13 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class Catalog:
-    """The full verified roster, with name and polynomial lookups."""
+    """The full verified roster, with read-only name and polynomial lookups."""
 
     mersennes: tuple[CatalogEntry, ...]
     stypes: tuple[CatalogEntry, ...]
     perfects: tuple[CatalogEntry, ...]
-    by_name: dict[str, CatalogEntry] = field(repr=False)
-    names_by_poly: dict[Poly, str] = field(repr=False)
+    by_name: Mapping[str, CatalogEntry] = field(repr=False)
+    names_by_poly: Mapping[Poly, str] = field(repr=False)
 
     @property
     def entries(self) -> tuple[CatalogEntry, ...]:
@@ -284,9 +288,21 @@ def build_catalog() -> Catalog:
     perfects = tuple(e for e in entries if e.kind == "perfect")
     if (len(mersennes), len(stypes), len(perfects)) != (13, 15, 11):
         raise CatalogError("roster sizes are wrong")
-    by_name = {e.name: e for e in entries}
-    names_by_poly = {e.poly: e.name for e in entries}
+    by_name = MappingProxyType({e.name: e for e in entries})
+    names_by_poly = MappingProxyType({e.poly: e.name for e in entries})
     return Catalog(mersennes, stypes, perfects, by_name, names_by_poly)
+
+
+@cache
+def _catalog() -> Catalog:
+    """The catalog every lookup in the process shares, built on first use.
+
+    It calls the module-global build_catalog, so it verifies once per
+    process; `catalog verify` and `catalog export` call build_catalog itself
+    and verify on every call.  Sharing is safe because a Catalog is
+    read-only: frozen, with tuple rosters and read-only mappings.
+    """
+    return build_catalog()
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .gf2poly import Poly, parse_expr
 from .factorizer import Factorization, factor
 # bench/tracing.py wraps cli.is_perfect and cli.is_indecomposable_perfect by name
 from .sigma import _perfect_verdict, is_indecomposable_perfect, is_perfect, sigma  # noqa: F401
-from .catalog import CatalogError, build_catalog, check_admissible
+from .catalog import CatalogError, _catalog, build_catalog, check_admissible
 from .search import (
     DEFAULT_SCAN_CEILING,
     SCAN_CEILING_ENV,
@@ -129,7 +130,7 @@ SCHEMAS: dict[str, dict] = {
 
 
 def _names() -> dict[Poly, str]:
-    return dict(build_catalog().names_by_poly)
+    return dict(_catalog().names_by_poly)
 
 
 def _factor_items(f: Factorization, names: dict[Poly, str]) -> list[dict]:
@@ -264,7 +265,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_admissible(args: argparse.Namespace) -> int:
-    cat = build_catalog()
+    cat = _catalog()
     polys: list[Poly] = []
     names: list[str] = []
     for raw in args.names:
@@ -307,8 +308,8 @@ def _cmd_admissible(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    cat = build_catalog()
-    names = dict(cat.names_by_poly)
+    cat = _catalog()
+    names = cat.names_by_poly
     fn = {"x2h": sigma_x2h_table, "mersenne": sigma_mersenne_table, "s": sigma_s_table}[args.table]
     rows = fn(catalog=cat)
     data = {
@@ -327,11 +328,12 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_theorem(args: argparse.Namespace) -> int:
     report = run_pipeline()  # raises SearchError on closure mismatch
-    data = dict(report.to_json(), report_path=args.report)
+    report_json = report.to_json()
+    data = dict(report_json, report_path=args.report)
     if args.report:
         # the file holds only the report itself, so repeated runs are
         # byte-identical regardless of where they are written
-        _write_atomic(args.report, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        _write_atomic(args.report, json.dumps(report_json, indent=2, sort_keys=True) + "\n")
     lines = [
         f"step 1: {report.step1_count} tuples",
         f"step 2: {report.step2_count} tuples",
@@ -434,10 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call, not at import, and reused: parse_args
+# reads the parser and returns a fresh namespace each time.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import product
 from operator import lshift
 from typing import Callable, Iterable
@@ -43,8 +43,10 @@ from typing import Callable, Iterable
 from .gf2poly import Poly, _bar, _divide_out, _divmod, _gcd, _mod, _mul, _popcount, _pow
 from .factorizer import Factorization, _irreducible_masks
 from .sigma import _geom_sum, _split_2adic
-from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, EXPECTED_DEGREE_SUM, Catalog, _even_sigma_splits,
-                      _even_sigma_valuations, _shape_mask, _shape_members, build_catalog)
+# bench/tracing.py wraps search.build_catalog by name; the code here reads
+# the shared catalog `_catalog` and never builds one itself.
+from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, EXPECTED_DEGREE_SUM, Catalog, _catalog,  # noqa: F401
+                      _even_sigma_splits, _even_sigma_valuations, _shape_mask, _shape_members, build_catalog)
 
 __all__ = [
     "ExponentTuple",
@@ -93,9 +95,8 @@ class SearchError(RuntimeError):
     """The enumeration finished in a state violating a hard contract."""
 
 
-@lru_cache(maxsize=1)
-def _cat() -> Catalog:
-    return build_catalog()
+# bench/tracing.py's table spans read search._cat(): the shared catalog.
+_cat = _catalog
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,7 @@ def _shape_bases(catalog: Catalog) -> list[int]:
     return [2, 3] + [e.poly.mask for e in shape_m + shape_s]
 
 
-@lru_cache(maxsize=1)
+@cache
 def _sigma_system() -> tuple[dict[int, int], ...]:
     """For each shape prime P, map each exponent e of its box to the packed
     vector of v_Q(sigma(P^e)) over the shape primes Q.
@@ -215,7 +216,7 @@ def _sigma_system() -> tuple[dict[int, int], ...]:
     the last term from the order profile `_even_sigma_valuations`.  Built on
     first use, so importing the module and building the catalog never pay.
     """
-    bases = _shape_bases(_cat())
+    bases = _shape_bases(_catalog())
     shift = {q: _W * i for i, q in enumerate(bases)}
     system = []
     for p, box in zip(bases, _BOXES):
@@ -266,19 +267,19 @@ def _sigma_power_rows(bases: list[tuple[str, int]], catalog: Catalog) -> list[Si
 
 def sigma_x2h_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
     """Rows (base in {x, x+1}, 2h) where sigma(base^2h) factors over the family."""
-    cat = catalog or _cat()
+    cat = catalog or _catalog()
     return _sigma_power_rows([("x", 2), ("x+1", 3)], cat)
 
 
 def sigma_mersenne_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
     """Rows (M, 2h) where sigma(M^2h) factors over the family."""
-    cat = catalog or _cat()
+    cat = catalog or _catalog()
     return _sigma_power_rows([(e.name, e.poly.mask) for e in cat.mersennes], cat)
 
 
 def sigma_s_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
     """Rows (S, 2h) where sigma(S^2h) factors over the family."""
-    cat = catalog or _cat()
+    cat = catalog or _catalog()
     return _sigma_power_rows([(e.name, e.poly.mask) for e in cat.stypes], cat)
 
 
@@ -296,9 +297,11 @@ _RUNS = ((0, 3), (3, 2), (7, 8), (5, 2))
 _ORDER = [p for first, count in _RUNS for p in range(first, first + count)]
 
 
+@cache
 def _run_solutions(k: int) -> tuple[int, int, dict[int, tuple[int, ...]]]:
     """(shift, mask, forced): forced maps each slice sum >> shift & mask that
-    lies in the boxes of _RUNS[k] to its exponents."""
+    lies in the boxes of _RUNS[k] to its exponents.  Built once per k; the
+    callers only read it."""
     first, count = _RUNS[k]
     forced = {_pack(exps): exps for exps in product(*_BOXES[first:first + count])}
     return _W * first, (1 << (_W * count)) - 1, forced
@@ -349,7 +352,7 @@ def pipeline_step3(step2: list[tuple[int, ...]]) -> list[tuple[ExponentTuple, Po
     A row is kept when sigma(A) and A have the same exponent at every shape
     prime; that checks the equations of M_1, x and x+1, which no step solves.
     """
-    cat = _cat()
+    cat = _catalog()
     system = _sigma_system()
     vectors = [system[p] for p in _ORDER]
     shifts = [_W * p for p in _ORDER]
@@ -375,8 +378,7 @@ class SearchReport:
     closure_names: tuple[str, ...]
 
     def to_json(self) -> dict:
-        cat = _cat()
-        names = {p: n for p, n in cat.names_by_poly.items()}
+        names = _catalog().names_by_poly
         return {
             "counts": {
                 "step1": self.step1_count,
@@ -404,7 +406,7 @@ class SearchReport:
 
 
 def _render_tuple_factorization(t: ExponentTuple) -> str:
-    cat = _cat()
+    cat = _catalog()
     shape_m, shape_s = _shape_members(cat.mersennes, cat.stypes)
     names = ["x", "(x+1)"] + [e.name for e in shape_m + shape_s]
     parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, (t.a, t.b, *t.c, *t.d)) if e]
@@ -419,7 +421,7 @@ def pipeline_finalize(candidates: list[tuple[ExponentTuple, Poly]], counts: tupl
     different classification).  Raises SearchError if the bar-closure differs
     from the eleven cataloged perfect polynomials.
     """
-    cat = _cat()
+    cat = _catalog()
     survivors = []
     for t, p in candidates:
         if not any(t.c) and not any(t.d):

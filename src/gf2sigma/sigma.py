@@ -73,8 +73,16 @@ def sigma(a: Poly) -> SigmaValue:
     """Sum of all divisors of a nonzero polynomial, with its factorization."""
     if not a.mask:
         raise ValueError("sigma of the zero polynomial is undefined")
-    val = _sigma_of(_factor_mask(a.mask))
-    return SigmaValue(value=Poly(val), factored=factor(Poly(val)))
+    # Factoring each sigma(q^e) apart and merging the exponents gives the
+    # factorization of the product by unique factorization, at less cost.
+    val = 1
+    exponents: dict[Poly, int] = {}
+    for q, e in _factor_mask(a.mask):
+        part = _geom_sum(q, e)
+        val = _mul(val, part)
+        for r, k in factor(Poly(part)):
+            exponents[r] = exponents.get(r, 0) + k
+    return SigmaValue(value=Poly(val), factored=Factorization(tuple(sorted(exponents.items()))))
 
 
 def is_perfect(a: Poly) -> bool:

@@ -5,7 +5,9 @@ The per-layer rows `factorizer.sieve_*.d20` are read from the sieve span
 whose max_degree is 20, so they go missing if the scan stops sieving to its
 full degree.  The `search.table_rows.*` rows are read from spans the tracer
 opens on `search` and `cli` functions by name, so they go missing if one of
-those names changes.
+those names changes.  `catalog.build_calls` counts the catalog builds per
+traced classify round: only `catalog verify` and `catalog export` build one,
+every other subcommand reads the shared per-process catalog.
 """
 
 from __future__ import annotations
@@ -42,3 +44,4 @@ def test_traced_classify_round():
     metrics = _traced_round("classify")
     rows = {table: metrics[f"search.table_rows.{table}"]["value"] for table in ("x2h", "mersenne", "s")}
     assert rows == {"x2h": 12, "mersenne": 6, "s": 2}
+    assert metrics["catalog.build_calls"]["value"] == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 import expected
 from gf2sigma.catalog import (
     EXPECTED_DEGREE_SUM,
+    _catalog,
+    build_catalog,
     check_admissible,
     is_mersenne_prime,
     one_plus_product,
@@ -35,6 +38,21 @@ class TestRoster:
             assert catalog[e.name] is e
             assert catalog.name_of(e.poly) == e.name
         assert catalog.name_of(X) is None
+
+    def test_shared_catalog_is_read_only(self):
+        """Every lookup shares one catalog, so none may change it."""
+        shared = _catalog()
+        assert _catalog() is shared
+        with pytest.raises(TypeError):
+            shared.by_name["M_1"] = shared["M_2"]
+        with pytest.raises(TypeError):
+            shared.names_by_poly[X] = "X"
+        with pytest.raises(TypeError):
+            del shared.by_name["M_1"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.by_name = {}
+        assert shared == build_catalog()
+        assert build_catalog() is not build_catalog()
 
     def test_explicit_small_members(self, catalog):
         for name, text in expected.EXPLICIT_TEXT.items():

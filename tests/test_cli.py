@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import expected
-from gf2sigma import factorizer
+from gf2sigma import catalog as catalog_module
+from gf2sigma import cli, factorizer
 from gf2sigma.catalog import build_catalog
 from gf2sigma.cli import SCHEMAS, main
 from gf2sigma.gf2poly import ParseError, parse_expr
@@ -188,6 +192,20 @@ class TestCatalog:
         for name in ("M_1", "S_15", "T_11"):
             assert name in out
 
+    def test_verify_and_export_rebuild_after_shared_catalog_is_warm(self, run, monkeypatch):
+        """verify and export build afresh, so a broken roster fails them even
+        while the shared catalog, built earlier, still serves lookups."""
+        shared = catalog_module._catalog()
+        # 1 + x(x+1)M_1^2 = (x^3+x+1)(x^3+x^2+1)
+        broken = (("S_1", 1, 1, 2),) + catalog_module._STYPE_PARAMS[1:]
+        monkeypatch.setattr(catalog_module, "_STYPE_PARAMS", broken)
+        for action in ("verify", "export"):
+            code, out, err = run("catalog", action)
+            assert (code, out) == (1, "")
+            assert err == "error: S_1: 1 + x^1(x+1)^1M_1^2 is reducible\n"
+        assert catalog_module._catalog() is shared
+        assert run("admissible", "S_1")[0] == 0
+
 
 class TestAdmissible:
     def test_single_member(self, run_json):
@@ -349,6 +367,53 @@ class TestUsageErrors:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "gf2sigma" in capsys.readouterr().out
+
+
+class TestSharedState:
+    """main() reuses one parser and one catalog; neither is built at import."""
+
+    CALLS = (("scan",), ("factor", T1_EXPR, "--format", "json"), ("factor", T1_EXPR))
+
+    def test_reused_parser_matches_a_fresh_one(self, run):
+        run("--version")
+        parser = cli._parser()
+        reused = [run(*argv) for argv in self.CALLS * 2]
+        assert cli._parser() is parser
+        fresh = []
+        for argv in self.CALLS * 2:
+            cli._parser.cache_clear()
+            fresh.append(run(*argv))
+        assert reused == fresh
+        (code, _, err), (_, out_json, _), (_, out_text, _) = reused[:3]
+        assert code == 2 and "the following arguments are required: --max-degree" in err
+        assert json.loads(out_json)["poly"] == "x^5+x^2"
+        assert out_text == "x^5+x^2 = (x)^2 * (x+1) * M_1\n"
+
+    def test_names_returns_a_copy(self):
+        names = cli._names()
+        names.clear()
+        assert cli._names() == dict(catalog_module._catalog().names_by_poly)
+        assert len(cli._names()) == 39
+
+    def test_import_builds_neither_parser_nor_catalog(self):
+        child = (
+            "import sys\n"
+            "calls = set()\n"
+            "def profile(frame, event, arg):\n"
+            "    if event == 'call':\n"
+            "        calls.add(frame.f_code.co_name)\n"
+            "sys.setprofile(profile)\n"
+            "import gf2sigma.cli\n"
+            "sys.setprofile(None)\n"
+            "print(sorted(calls & {'build_parser', 'add_argument', 'build_catalog', '_catalog',\n"
+            "                      '_is_irreducible_mask', '_sigma_system'}))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 def test_every_schema_is_itself_valid():

@@ -33,6 +33,21 @@ def test_value_and_factorization_consistent():
         assert sv.factored.value() == sv.value
 
 
+def test_factored_parts_merge_to_factor_of_value():
+    """sigma factors each sigma(q^e) apart and merges the exponents; the
+    result must be the factorization of the whole value, also where parts
+    share primes (sigma(x^2) = sigma((x+1)^2) = x^2+x+1)."""
+    assert sigma(X ** 2 * (X + ONE) ** 2).factored == factor(M1 * M1)
+    rng = random.Random(22)
+    odd = [Poly(m) for m in oracles.sieve_irreducibles(6) if m > 3]
+    for _ in range(200):
+        a = X ** rng.randint(0, 8) * (X + ONE) ** rng.randint(0, 8)
+        for q in rng.sample(odd, rng.randint(0, 3)):
+            a = a * q ** rng.randint(1, 4)
+        sv = sigma(a)
+        assert sv.factored == factor(sv.value), a
+
+
 def test_multiplicativity_1000_coprime_pairs():
     rng = random.Random(21)
     checked = 0
