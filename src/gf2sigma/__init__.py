@@ -31,7 +31,6 @@ from .search import (
     ExponentTuple,
     SearchError,
     SearchReport,
-    SigmaExponents,
     SigmaTableRow,
     compute_sigma_exponents,
     exhaustive_scan,
@@ -80,7 +79,6 @@ __all__ = [
     "ExponentTuple",
     "SearchError",
     "SearchReport",
-    "SigmaExponents",
     "SigmaTableRow",
     "compute_sigma_exponents",
     "exhaustive_scan",

@@ -8,9 +8,10 @@ construction:
 * eleven known perfect polynomials (names T_1..T_11), each stored with its
   full prime-power shape x^a (x+1)^b * prod M_i^c_i * prod S_j^d_j.
 
-Construction fails loudly if any entry is reducible, has the wrong shape, or
-breaks one of the structural facts (bar-conjugate pairing, the degree sum 184
-over the union of the two irreducible rosters, distinctness).
+Construction fails loudly if any entry is reducible, has the wrong shape, is
+a T entry that is not perfect, or breaks one of the structural facts
+(bar-conjugate pairing, the degree sum 184 over the union of the two
+irreducible rosters, distinctness).
 `build_catalog` builds and verifies afresh on every call; lookups share one
 per-process catalog, `_catalog`.
 
@@ -31,6 +32,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .gf2poly import Poly, _bar, _derivative, _divide_out, _mod, _mul, _pow, _sqr, _star
 from .factorizer import _is_irreducible_mask
+from .sigma import _geom_sum
 
 __all__ = [
     "AdmissibilityReport",
@@ -147,9 +149,12 @@ _SHAPE_MERSENNES = 5
 _SHAPE_STYPES = 8
 
 
-def _shape_members(mersennes: Sequence, stypes: Sequence) -> tuple[Sequence, Sequence]:
-    """The shape's primes M_i and S_j, taken from the two rosters."""
-    return mersennes[:_SHAPE_MERSENNES], stypes[:_SHAPE_STYPES]
+def _shape_primes(mersennes: Sequence[tuple], stypes: Sequence[tuple]) -> tuple[tuple[str, int], ...]:
+    """(name, mask) of the shape's primes x, x+1, M_1..M_5, S_1..S_8 in
+    exponent order, from the (name, poly, ...) rows of the two rosters.
+    A name is as it renders in a product, so x+1 is "(x+1)"."""
+    odd = (*mersennes[:_SHAPE_MERSENNES], *stypes[:_SHAPE_STYPES])
+    return (("x", 2), ("(x+1)", 3), *((row[0], row[1].mask) for row in odd))
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,7 @@ class Catalog:
     perfects: tuple[CatalogEntry, ...]
     by_name: Mapping[str, CatalogEntry] = field(repr=False)
     names_by_poly: Mapping[Poly, str] = field(repr=False)
+    shape: tuple[tuple[str, int], ...] = field(repr=False)  # (name, mask) by `_shape_primes`
 
     @property
     def entries(self) -> tuple[CatalogEntry, ...]:
@@ -231,15 +237,14 @@ def _resolve_partners(entries: list[tuple[str, Poly, str, tuple[int, ...]]]) -> 
 _BAR_PAIRS_REVERSED = {v: k for k, v in _BAR_PAIRS.items()}
 
 
-def _shape_mask(power: Callable[[int, int], int], exponents: Sequence[int], bases: Sequence[int]) -> int:
-    """Multiply power(q, e) over the bases q and exponents e of a shape.
-
-    The shape x^a (x+1)^b prod M_i^c_i prod S_j^d_j has the bases
-    (x, x+1, M_1, .., S_1, ..) and the exponents (a, b, c_1, .., d_1, ..).
-    power = _pow gives the polynomial, power = _geom_sum gives its sigma.
+def _shape_mask(power: Callable[[int, int], int], exponents: Sequence[int],
+                shape: Sequence[tuple[str, int]]) -> int:
+    """Multiply power(q, e) over the primes q of the shape (`_shape_primes`)
+    and their exponents e, (a, b, c_1, .., d_1, ..).  power = _pow gives the
+    polynomial, power = _geom_sum gives its sigma.
     """
     acc = 1
-    for q, e in zip(bases, exponents):
+    for (_, q), e in zip(shape, exponents):
         if e:
             acc = _mul(acc, power(q, e))
     return acc
@@ -249,11 +254,11 @@ def build_catalog() -> Catalog:
     """Construct and verify the full catalog; raises CatalogError on any violation."""
     mersenne_raw: list[tuple[str, Poly, str, tuple[int, ...]]] = []
     for name, a, b in _MERSENNE_PARAMS:
+        if min(a, b) < 1:
+            raise CatalogError(f"{name}: not of Mersenne shape")
         poly = Poly(_mul(1 << a, _pow(3, b)) ^ 1)
         if not _is_irreducible_mask(poly.mask):
             raise CatalogError(f"{name}: 1 + x^{a}(x+1)^{b} is reducible")
-        if not is_mersenne_prime(poly):
-            raise CatalogError(f"{name}: not of Mersenne shape")
         mersenne_raw.append((name, poly, "mersenne", (a, b)))
 
     m1 = mersenne_raw[0][1]
@@ -271,13 +276,15 @@ def build_catalog() -> Catalog:
     if degree_sum != EXPECTED_DEGREE_SUM:
         raise CatalogError(f"irreducible roster degree sum {degree_sum} != {EXPECTED_DEGREE_SUM}")
 
-    shape_m, shape_s = _shape_members(mersenne_raw, stype_raw)
-    bases = [2, 3] + [poly.mask for _, poly, _, _ in shape_m + shape_s]
+    shape = _shape_primes(mersenne_raw, stype_raw)
     for name, a, b, c_i, d_j in _PERFECT_PARAMS:
-        if (len(c_i), len(d_j)) != (len(shape_m), len(shape_s)):
+        if (len(c_i), len(d_j)) != (_SHAPE_MERSENNES, _SHAPE_STYPES):
             raise CatalogError(f"{name}: exponents do not fit the shape")
         params = (a, b) + c_i + d_j
-        raw.append((name, Poly(_shape_mask(_pow, params, bases)), "perfect", params))
+        mask = _shape_mask(_pow, params, shape)
+        if _shape_mask(_geom_sum, params, shape) != mask:
+            raise CatalogError(f"{name}: {Poly(mask)} is not perfect")
+        raw.append((name, Poly(mask), "perfect", params))
 
     if len({poly for _, poly, _, _ in raw}) != len(raw):
         raise CatalogError("catalog entries are not pairwise distinct")
@@ -290,7 +297,7 @@ def build_catalog() -> Catalog:
         raise CatalogError("roster sizes are wrong")
     by_name = MappingProxyType({e.name: e for e in entries})
     names_by_poly = MappingProxyType({e.poly: e.name for e in entries})
-    return Catalog(mersennes, stypes, perfects, by_name, names_by_poly)
+    return Catalog(mersennes, stypes, perfects, by_name, names_by_poly, shape)
 
 
 @cache

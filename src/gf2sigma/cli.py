@@ -234,6 +234,9 @@ def _cmd_perfect(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    if args.action == "verify" and args.output:
+        print("gf2sigma catalog: error: --output applies only to catalog export", file=sys.stderr)
+        return 2
     cat = build_catalog()  # raises CatalogError when any invariant fails
     if args.action == "verify":
         data = {
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", parents=[fmt], help="verify or export the roster")
     p.add_argument("action", choices=("verify", "export"))
-    p.add_argument("--output", help="write the export to a file (atomic)")
+    p.add_argument("--output", help="write the export to a file (atomic; export only)")
     p.set_defaults(fn=_cmd_catalog)
 
     p = sub.add_parser("admissible", parents=[fmt], help="check admissibility conditions")

@@ -1,15 +1,16 @@
 """Bounded search routines behind the classification of perfect polynomials.
 
 Everything here revolves around the shape
-A = x^a (x+1)^b * prod M_i^c_i * prod S_j^d_j with exponents written
-2-adically: a = 2^n u - 1, b = 2^m v - 1, c_i = 2^{n_i} u_i - 1,
-d_j = 2^{m_j} v_j - 1 (u, v, u_i, v_j odd).  sigma splits geometrically over
-that 2-adic form, so `_sigma_system` generates the vector v_Q(sigma(P^e))
-for each shape prime P and exponent e from 1+P and the valuation profile
+A = x^a (x+1)^b * prod M_i^c_i * prod S_j^d_j, one vector of 15 exponents
+over the catalog's shape primes (`ExponentTuple`).  sigma splits
+geometrically over the 2-adic form e = 2^k s - 1 (s odd) of each exponent,
+so `_sigma_system` generates the vector v_Q(sigma(P^e)) for each shape prime
+P and exponent e from 1+P and the valuation profile
 `catalog._even_sigma_valuations`; no order or exponent is listed by hand.
-`compute_sigma_exponents` sums those vectors, and the pipeline solves
-sigma(A) = A as a fixed point of that system in three steps, then closes
-the perfect survivors under the x -> x+1 conjugation.
+`compute_sigma_exponents` sums those vectors into the exponent vector of
+sigma(A), and the pipeline solves sigma(A) = A as a fixed point of that
+system in three steps, then closes the perfect survivors under the
+x -> x+1 conjugation.
 
 The sigma tables list every sigma(base^{2h}) that factors entirely over the
 28-member catalog family; `catalog._even_sigma_splits` derives the h bound
@@ -46,13 +47,12 @@ from .sigma import _geom_sum, _split_2adic
 # bench/tracing.py wraps search.build_catalog by name; the code here reads
 # the shared catalog `_catalog` and never builds one itself.
 from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, EXPECTED_DEGREE_SUM, Catalog, _catalog,  # noqa: F401
-                      _even_sigma_splits, _even_sigma_valuations, _shape_mask, _shape_members, build_catalog)
+                      _even_sigma_splits, _even_sigma_valuations, _shape_mask, build_catalog)
 
 __all__ = [
     "ExponentTuple",
     "SearchError",
     "SearchReport",
-    "SigmaExponents",
     "SigmaTableRow",
     "compute_sigma_exponents",
     "exhaustive_scan",
@@ -76,19 +76,17 @@ MAX_SCAN_CEILING = 26
 DEFAULT_H_MAX = EXPECTED_DEGREE_SUM // 2
 
 
-def _box_pairs(top: int, odds: tuple[int, ...]) -> dict[int, tuple[int, int]]:
-    """Map each exponent 2^t s - 1 with 0 <= t <= top and s in odds to (t, s), t outermost."""
-    return {(1 << t) * s - 1: (t, s) for t in range(top + 1) for s in odds}
+def _box(top: int, odds: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponents 2^t s - 1 with 0 <= t <= top and s in odds, t outermost."""
+    return tuple((1 << t) * s - 1 for t in range(top + 1) for s in odds)
 
 
-# The parameter box of the search, one entry per prime of the shape: x and
-# x+1 share _X_PAIRS, _M_PAIRS lists M_1..M_5 and S_2..S_8 share _S_TAIL_PAIRS.
-_X_PAIRS = _box_pairs(4, (1, 3, 5, 7, 9, 13, 15))
-_M_PAIRS = [_box_pairs(4, (1, 3, 5, 7, 15)), _box_pairs(3, (1, 3)), _box_pairs(3, (1, 3)),
-            _box_pairs(5, (1,)), _box_pairs(5, (1,))]
-_S1_PAIRS = _box_pairs(3, (1, 3))
-_S_TAIL_PAIRS = _box_pairs(1, (1,))
-_BOXES = (_X_PAIRS, _X_PAIRS, *_M_PAIRS, _S1_PAIRS, *(_S_TAIL_PAIRS,) * (_SHAPE_STYPES - 1))
+# The parameter box of the search, one exponent tuple per prime of the shape,
+# in exponent order: x, x+1, M_1..M_5, S_1..S_8.
+_X_BOX = _box(4, (1, 3, 5, 7, 9, 13, 15))
+_BOXES = (_X_BOX, _X_BOX,
+          _box(4, (1, 3, 5, 7, 15)), _box(3, (1, 3)), _box(3, (1, 3)), _box(5, (1,)), _box(5, (1,)),
+          _box(3, (1, 3)), *(_box(1, (1,)),) * (_SHAPE_STYPES - 1))
 
 
 class SearchError(RuntimeError):
@@ -106,37 +104,26 @@ _cat = _catalog
 
 @dataclass(frozen=True)
 class ExponentTuple:
-    """2-adic exponent parameters of a candidate A.
+    """The exponents of A = x^a (x+1)^b * prod M_i^c_i * prod S_j^d_j in shape
+    order: a, b, c_1..c_5, d_1..d_8."""
 
-    a = 2^n u - 1 is the exponent of x, b = 2^m v - 1 of x+1,
-    c_i = 2^{n_i} u_i - 1 of M_i (i = 1..5), d_j = 2^{m_j} v_j - 1 of S_j
-    (j = 1..8); all of u, v, u_i, v_j are odd.
-    """
-
-    n: int
-    u: int
-    m: int
-    v: int
-    n_i: tuple[int, ...] = (0,) * _SHAPE_MERSENNES
-    u_i: tuple[int, ...] = (1,) * _SHAPE_MERSENNES
-    m_j: tuple[int, ...] = (0,) * _SHAPE_STYPES
-    v_j: tuple[int, ...] = (1,) * _SHAPE_STYPES
+    exponents: tuple[int, ...]
 
     @property
     def a(self) -> int:
-        return (1 << self.n) * self.u - 1
+        return self.exponents[0]
 
     @property
     def b(self) -> int:
-        return (1 << self.m) * self.v - 1
+        return self.exponents[1]
 
     @property
     def c(self) -> tuple[int, ...]:
-        return tuple((1 << n) * u - 1 for n, u in zip(self.n_i, self.u_i))
+        return self.exponents[2:2 + _SHAPE_MERSENNES]
 
     @property
     def d(self) -> tuple[int, ...]:
-        return tuple((1 << m) * v - 1 for m, v in zip(self.m_j, self.v_j))
+        return self.exponents[2 + _SHAPE_MERSENNES:]
 
     @classmethod
     def from_exponents(cls, a: int, b: int, c: tuple[int, ...] = (), d: tuple[int, ...] = ()) -> "ExponentTuple":
@@ -147,41 +134,24 @@ class ExponentTuple:
                         *((f"d_{j}", k) for j, k in enumerate(d, 1))]:
             if k < 0:
                 raise ValueError(f"exponent {name} must be >= 0, got {k}")
-        n, u = _split_2adic(a)
-        m, v = _split_2adic(b)
-        ni, ui = zip(*(_split_2adic(k) for k in c))
-        mj, vj = zip(*(_split_2adic(k) for k in d))
-        return cls(n, u, m, v, ni, ui, mj, vj)
+        return cls((a, b, *c, *d))
 
     def validate(self) -> None:
         """Check membership in the bounded parameter ranges of the search."""
-        t = self
-        pairs = [(t.n, t.u), (t.m, t.v), *zip(t.n_i, t.u_i), *zip(t.m_j, t.v_j)]
-        ok = (
-            (len(t.n_i), len(t.u_i), len(t.m_j), len(t.v_j))
-            == (_SHAPE_MERSENNES, _SHAPE_MERSENNES, _SHAPE_STYPES, _SHAPE_STYPES)
-            and all(pair in box.values() for pair, box in zip(pairs, _BOXES))
-        )
-        if not ok:
-            raise ValueError(f"exponent tuple outside the supported ranges: {t}")
+        if len(self.exponents) != len(_BOXES) or not all(map(tuple.__contains__, _BOXES, self.exponents)):
+            raise ValueError(f"exponent tuple outside the supported ranges: {self}")
 
     def to_json(self) -> dict:
+        """The exponents, each also as (t, s) with e = 2^t s - 1: n, u for a,
+        m, v for b, n_i, u_i for the c_i and m_j, v_j for the d_j."""
+        (n, u), (m, v), *rest = map(_split_2adic, self.exponents)
+        n_i, u_i = zip(*rest[:_SHAPE_MERSENNES])
+        m_j, v_j = zip(*rest[_SHAPE_MERSENNES:])
         return {
-            "n": self.n, "u": self.u, "m": self.m, "v": self.v,
-            "n_i": list(self.n_i), "u_i": list(self.u_i),
-            "m_j": list(self.m_j), "v_j": list(self.v_j),
+            "n": n, "u": u, "m": m, "v": v,
+            "n_i": list(n_i), "u_i": list(u_i), "m_j": list(m_j), "v_j": list(v_j),
             "a": self.a, "b": self.b, "c": list(self.c), "d": list(self.d),
         }
-
-
-@dataclass(frozen=True)
-class SigmaExponents:
-    """Exponents of x, x+1, M_1..M_5, S_1..S_8 in sigma(A)."""
-
-    alpha: int
-    beta: int
-    gamma: tuple[int, int, int, int, int]
-    delta: tuple[int, ...]
 
 
 # An exponent vector over the shape primes packs into one int, _W bits per
@@ -199,12 +169,6 @@ def _unpack(packed: int) -> tuple[int, ...]:
     return tuple(packed >> (_W * q) & ((1 << _W) - 1) for q in range(len(_BOXES)))
 
 
-def _shape_bases(catalog: Catalog) -> list[int]:
-    """The masks of x, x+1, M_1..M_5, S_1..S_8, in exponent order."""
-    shape_m, shape_s = _shape_members(catalog.mersennes, catalog.stypes)
-    return [2, 3] + [e.poly.mask for e in shape_m + shape_s]
-
-
 @cache
 def _sigma_system() -> tuple[dict[int, int], ...]:
     """For each shape prime P, map each exponent e of its box to the packed
@@ -216,23 +180,24 @@ def _sigma_system() -> tuple[dict[int, int], ...]:
     the last term from the order profile `_even_sigma_valuations`.  Built on
     first use, so importing the module and building the catalog never pay.
     """
-    bases = _shape_bases(_catalog())
+    bases = [q for _, q in _catalog().shape]
     shift = {q: _W * i for i, q in enumerate(bases)}
     system = []
     for p, box in zip(bases, _BOXES):
+        split = {e: _split_2adic(e) for e in box}
         one_plus = sum(_divide_out(p ^ 1, q)[1] << shift[q] for q in bases)
-        even = [0] + [sum(c << shift[q] for q, c in split) for _, split
-                      in _even_sigma_valuations(p, bases, max(s for _, s in box.values()) // 2)]
-        system.append({e: ((1 << k) - 1) * one_plus + (even[s // 2] << k) for e, (k, s) in box.items()})
+        even = [0] + [sum(c << shift[q] for q, c in profile) for _, profile
+                      in _even_sigma_valuations(p, bases, max(s for _, s in split.values()) // 2)]
+        system.append({e: ((1 << k) - 1) * one_plus + (even[s // 2] << k) for e, (k, s) in split.items()})
     return tuple(system)
 
 
-def compute_sigma_exponents(t: ExponentTuple) -> SigmaExponents:
-    """Exponents of the shape primes in sigma(A), summing the generated
-    vector of each prime power of A."""
+def compute_sigma_exponents(t: ExponentTuple) -> ExponentTuple:
+    """The exponents of the shape primes in sigma(A), summing the generated
+    vector of each prime power of A.  The pipeline's fixed points are the t
+    it returns unchanged."""
     t.validate()
-    v = _unpack(sum(map(dict.__getitem__, _sigma_system(), (t.a, t.b, *t.c, *t.d))))
-    return SigmaExponents(v[0], v[1], v[2:7], v[7:])
+    return ExponentTuple(_unpack(sum(map(dict.__getitem__, _sigma_system(), t.exponents))))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +308,7 @@ def pipeline_step2(step1: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def _tuple_mask(t: ExponentTuple, power: Callable[[int, int], int], catalog: Catalog) -> int:
     """A for power = _pow, sigma(A) for power = _geom_sum."""
-    return _shape_mask(power, (t.a, t.b, *t.c, *t.d), _shape_bases(catalog))
+    return _shape_mask(power, t.exponents, catalog.shape)
 
 
 def pipeline_step3(step2: list[tuple[int, ...]]) -> list[tuple[ExponentTuple, Poly]]:
@@ -359,8 +324,7 @@ def pipeline_step3(step2: list[tuple[int, ...]]) -> list[tuple[ExponentTuple, Po
     out = []
     for row in _solve_run(step2, 3):
         if sum(map(dict.__getitem__, vectors, row)) == sum(map(lshift, row, shifts)):
-            exps = [e for _, e in sorted(zip(_ORDER, row))]
-            t = ExponentTuple.from_exponents(exps[0], exps[1], exps[2:7], exps[7:])
+            t = ExponentTuple(tuple(e for _, e in sorted(zip(_ORDER, row))))
             out.append((t, Poly(_tuple_mask(t, _pow, cat))))
     return out
 
@@ -406,10 +370,7 @@ class SearchReport:
 
 
 def _render_tuple_factorization(t: ExponentTuple) -> str:
-    cat = _catalog()
-    shape_m, shape_s = _shape_members(cat.mersennes, cat.stypes)
-    names = ["x", "(x+1)"] + [e.name for e in shape_m + shape_s]
-    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, (t.a, t.b, *t.c, *t.d)) if e]
+    parts = [name if e == 1 else f"{name}^{e}" for (name, _), e in zip(_catalog().shape, t.exponents) if e]
     return " * ".join(parts) if parts else "1"
 
 
@@ -424,7 +385,7 @@ def pipeline_finalize(candidates: list[tuple[ExponentTuple, Poly]], counts: tupl
     cat = _catalog()
     survivors = []
     for t, p in candidates:
-        if not any(t.c) and not any(t.d):
+        if not any(t.c + t.d):
             continue
         if _tuple_mask(t, _geom_sum, cat) == p.mask:
             survivors.append(p)

@@ -15,6 +15,7 @@ which is the identity driving every exponent computation in `search`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .gf2poly import Poly, _mul, _pow
 from .factorizer import Factorization, _factor_mask, _is_irreducible_mask, factor
@@ -42,14 +43,6 @@ def _split_2adic(k: int) -> tuple[int, int]:
     n = k + 1
     t = (n & -n).bit_length() - 1
     return t, n >> t
-
-
-def _sigma_of(parts: list[tuple[int, int]]) -> int:
-    """sigma of prod q^e over the prime powers (q, e)."""
-    val = 1
-    for q, e in parts:
-        val = _mul(val, _geom_sum(q, e))
-    return val
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ def is_perfect(a: Poly) -> bool:
     """True iff sigma(a) = a."""
     if not a.mask:
         raise ValueError("perfectness of the zero polynomial is undefined")
-    return _sigma_of(_factor_mask(a.mask)) == a.mask
+    return reduce(_mul, (_geom_sum(q, e) for q, e in _factor_mask(a.mask)), 1) == a.mask
 
 
 def _perfect_verdict(a: Poly) -> tuple[int, bool | None]:
@@ -102,12 +95,12 @@ def _perfect_verdict(a: Poly) -> tuple[int, bool | None]:
     if not a.mask:
         raise ValueError("perfectness of the zero polynomial is undefined")
     parts = _factor_mask(a.mask)
-    value = _sigma_of(parts)
+    sums = [_geom_sum(q, e) for q, e in parts]
+    value = reduce(_mul, sums, 1)
     if value != a.mask:
         return value, None
     w = len(parts)
     powers = [_pow(q, e) for q, e in parts]
-    sums = [_geom_sum(q, e) for q, e in parts]
     for sub in range(1, (1 << w) - 1):
         prod = 1
         sig = 1

@@ -244,11 +244,11 @@ def test_criterion_8_property_suites(announce, catalog, factor_oracle_report):
         t = ExponentTuple.from_exponents(a, b, cs, ds)
         se = compute_sigma_exponents(t)
         direct = ONE
-        for base, e in zip(targets, (t.a, t.b, *t.c, *t.d)):
+        for base, e in zip(targets, t.exponents):
             if e:
                 direct = direct * sigma_prime_power(base, e)
         formula = ONE
-        for base, e in zip(targets, (se.alpha, se.beta, *se.gamma, *se.delta)):
+        for base, e in zip(targets, se.exponents):
             formula = formula * base**e
         assert formula == direct, name
     announce.line("  sigma exponent formulas vs direct computation: 11 parameter sets")

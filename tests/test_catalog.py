@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import expected
+from gf2sigma import catalog as catalog_module
 from gf2sigma.catalog import (
     EXPECTED_DEGREE_SUM,
+    CatalogError,
     _catalog,
     build_catalog,
     check_admissible,
@@ -91,6 +93,34 @@ class TestRoster:
             # 1 + S factors through M_1, so S + 1 is never a product of
             # linear powers alone and S is not of Mersenne shape.
             assert not is_mersenne_prime(e.poly)
+
+    def test_each_roster_entry_is_tested_for_irreducibility_once(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        original = catalog_module._is_irreducible_mask
+        monkeypatch.setattr(catalog_module, "_is_irreducible_mask", counting)
+        cat = build_catalog()
+        assert sorted(calls) == sorted(p.mask for p in cat.family)
+
+    @pytest.mark.parametrize("entry, message", [
+        (("M_2", 2, 2), r"^M_2: 1 \+ x\^2\(x\+1\)\^2 is reducible$"),  # M_1^2
+        (("M_2", 0, 1), r"^M_2: not of Mersenne shape$"),  # x, irreducible
+        (("M_2", 0, 2), r"^M_2: not of Mersenne shape$"),  # x^2
+    ])
+    def test_bad_mersenne_entry_is_named(self, monkeypatch, entry, message):
+        params = catalog_module._MERSENNE_PARAMS
+        monkeypatch.setattr(catalog_module, "_MERSENNE_PARAMS", params[:1] + (entry,) + params[2:])
+        with pytest.raises(CatalogError, match=message):
+            build_catalog()
+
+    def test_shape_primes_in_exponent_order(self, catalog):
+        members = [catalog[f"M_{i}"] for i in range(1, 6)] + [catalog[f"S_{j}"] for j in range(1, 9)]
+        assert catalog.shape == (("x", X.mask), ("(x+1)", (X + ONE).mask),
+                                 *((e.name, e.poly.mask) for e in members))
 
     def test_degree_sum_is_184(self, catalog):
         assert EXPECTED_DEGREE_SUM == 184

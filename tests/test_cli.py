@@ -206,6 +206,23 @@ class TestCatalog:
         assert catalog_module._catalog() is shared
         assert run("admissible", "S_1")[0] == 0
 
+    def test_verify_rejects_imperfect_t_entries(self, run, monkeypatch):
+        """The bar pair x^2(x+1)M_1^2, x(x+1)^2M_1^2 passes every other
+        invariant, but neither is perfect."""
+        broken = (("T_1", 2, 1, (2, 0, 0, 0, 0), (0,) * 8),
+                  ("T_2", 1, 2, (2, 0, 0, 0, 0), (0,) * 8)) + catalog_module._PERFECT_PARAMS[2:]
+        monkeypatch.setattr(catalog_module, "_PERFECT_PARAMS", broken)
+        code, out, err = run("catalog", "verify")
+        assert (code, out) == (1, "")
+        assert err == f"error: T_1: {parse_expr('x^2*(x+1)*(x^2+x+1)^2')} is not perfect\n"
+
+    def test_verify_with_output_is_usage_error(self, run, tmp_path):
+        out_file = tmp_path / "catalog.json"
+        code, out, err = run("catalog", "verify", "--output", str(out_file))
+        assert (code, out) == (2, "")
+        assert "--output" in err
+        assert not out_file.exists()
+
 
 class TestAdmissible:
     def test_single_member(self, run_json):

@@ -30,7 +30,7 @@ from gf2sigma.search import (
     sigma_s_table,
     sigma_x2h_table,
 )
-from gf2sigma.sigma import _geom_sum, is_perfect, sigma_prime_power
+from gf2sigma.sigma import _geom_sum, _split_2adic, is_perfect, sigma_prime_power
 
 THEOREM_GOLDEN = Path(__file__).parent / "data" / "theorem_golden.json"
 
@@ -128,7 +128,7 @@ def _exponents_by_division(v, targets):
 
 def _sigma_from_exponents(t: ExponentTuple, targets):
     v = ONE
-    for base, e in zip(targets, (t.a, t.b, *t.c, *t.d)):
+    for base, e in zip(targets, t.exponents):
         if e:
             v = v * sigma_prime_power(base, e)
     return v
@@ -143,52 +143,60 @@ class TestExponentFormulas:
 
     def test_validate_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            ExponentTuple(n=5, u=1, m=0, v=1).validate()
+            ExponentTuple.from_exponents(31, 0).validate()  # 2^5 - 1: x's box stops at 2^4
         with pytest.raises(ValueError):
-            ExponentTuple(n=0, u=11, m=0, v=1).validate()
+            ExponentTuple.from_exponents(10, 0).validate()  # 11 is no odd part of x's box
+
+    def test_validate_rejects_wrong_length(self):
+        ExponentTuple((0,) * 15).validate()
+        for length in (0, 2, 14, 16):
+            with pytest.raises(ValueError, match="outside the supported ranges"):
+                ExponentTuple((0,) * length).validate()
 
     def test_soundness_on_the_eleven_perfects(self, catalog):
         """sigma fixes each cataloged perfect, so the computed exponents of
         sigma(T) must equal T's own exponents."""
         for name, (a, b, cs, ds) in expected.PERFECT_PARAMS.items():
             t = ExponentTuple.from_exponents(a, b, cs, ds)
-            se = compute_sigma_exponents(t)
-            assert (se.alpha, se.beta, se.gamma, se.delta) == (a, b, cs, ds), name
+            assert compute_sigma_exponents(t) == t, name
+            assert t.exponents == (a, b, *cs, *ds), name
 
     def test_pinned_first_mersenne_ninth_power(self, catalog):
         """sigma(M_1^9) = x * (x+1) * S_8^2: the S_8 exponent comes from the
-        u_1 = 5 branch, and S_7 stays out."""
-        t = ExponentTuple(n=0, u=1, m=0, v=1, n_i=(1, 0, 0, 0, 0), u_i=(5, 1, 1, 1, 1))
+        2^1 * 5 - 1 split of c_1 = 9, and S_7 stays out."""
+        t = ExponentTuple.from_exponents(0, 0, (9,))
         se = compute_sigma_exponents(t)
-        assert se.delta[6] == 0  # S_7
-        assert se.delta[7] == 2  # S_8
+        assert se.d[6] == 0  # S_7
+        assert se.d[7] == 2  # S_8
         targets = _sigma_exponent_targets(catalog)
         s8 = catalog["S_8"].poly
         assert sigma_prime_power(catalog["M_1"].poly, 9) == X * (X + ONE) * s8 * s8
         assert _exponents_by_division(sigma_prime_power(catalog["M_1"].poly, 9), targets) \
-            == [se.alpha, se.beta, *se.gamma, *se.delta]
+            == list(se.exponents)
 
     def test_dual_route_on_random_tuples(self, catalog):
         """Formula route vs. direct route (multiply sigma of the prime powers,
-        then read exponents off by division) on random in-range tuples."""
+        then read exponents off by division) on random in-range tuples, each
+        exponent drawn 2-adically as 2^t s - 1."""
         rng = random.Random(77)
         targets = _sigma_exponent_targets(catalog)
         u_pool = (1, 3, 5, 7, 9, 13, 15)
         u1_pool = (1, 3, 5, 7, 15)
+
+        def exponent(t, s):
+            return (1 << t) * s - 1
+
         for _ in range(60):
-            t = ExponentTuple(
-                n=rng.randrange(4), u=rng.choice(u_pool),
-                m=rng.randrange(4), v=rng.choice(u_pool),
-                n_i=(rng.randrange(3), rng.randrange(3), rng.randrange(3),
-                     rng.randrange(3), rng.randrange(3)),
-                u_i=(rng.choice(u1_pool), rng.choice((1, 3)), rng.choice((1, 3)), 1, 1),
-                m_j=(rng.randrange(3),) + tuple(rng.randrange(2) for _ in range(7)),
-                v_j=(rng.choice((1, 3)),) + (1,) * 7,
-            )
+            n, u, m, v = rng.randrange(4), rng.choice(u_pool), rng.randrange(4), rng.choice(u_pool)
+            n_i = (rng.randrange(3), rng.randrange(3), rng.randrange(3), rng.randrange(3), rng.randrange(3))
+            u_i = (rng.choice(u1_pool), rng.choice((1, 3)), rng.choice((1, 3)), 1, 1)
+            m_j = (rng.randrange(3),) + tuple(rng.randrange(2) for _ in range(7))
+            v_j = (rng.choice((1, 3)),) + (1,) * 7
+            t = ExponentTuple((exponent(n, u), exponent(m, v), *map(exponent, n_i, u_i), *map(exponent, m_j, v_j)))
             t.validate()
             se = compute_sigma_exponents(t)
             got = _exponents_by_division(_sigma_from_exponents(t, targets), targets)
-            assert got == [se.alpha, se.beta, *se.gamma, *se.delta], t
+            assert got == list(se.exponents), t
 
     def test_negative_exponent_rejected_by_name(self):
         for args, name in (((-1, 0), "a"), ((0, -3), "b"), ((1, 1, (0, -1)), "c_2"),
@@ -232,7 +240,7 @@ class TestExponentFormulas:
 
     def test_compute_rejects_invalid_tuple(self):
         with pytest.raises(ValueError):
-            compute_sigma_exponents(ExponentTuple(n=0, u=21, m=0, v=1))
+            compute_sigma_exponents(ExponentTuple.from_exponents(20, 0))
 
 
 class TestPipeline:
@@ -263,12 +271,19 @@ class TestPipeline:
         assert len(pipeline_report.candidates) == pipeline_report.step3_count
         for t, p in pipeline_report.candidates:
             t.validate()
-            assert t.n_i[1] <= 3 and t.n_i[2] <= 3 and t.m_j[0] <= 3
-            assert t.n_i[3] <= 5 and t.n_i[4] <= 5
-            assert (t.n_i[1], t.u_i[1]) == (t.n_i[2], t.u_i[2])
+            n_i = [_split_2adic(c)[0] for c in t.c]
+            assert n_i[1] <= 3 and n_i[2] <= 3 and _split_2adic(t.d[0])[0] <= 3
+            assert n_i[3] <= 5 and n_i[4] <= 5
+            assert t.c[1] == t.c[2]
             assert 1 <= t.a <= t.b
             se = compute_sigma_exponents(t)
-            assert se.gamma[1] == se.gamma[2]
+            assert se.c[1] == se.c[2]
+
+    def test_candidates_are_fixed_points(self, pipeline_report):
+        """Step 3 keeps exactly the tuples whose sigma has the same exponents."""
+        assert len(pipeline_report.candidates) == 10
+        for t, p in pipeline_report.candidates:
+            assert compute_sigma_exponents(t) == t
 
     def test_nonsurvivors_are_the_linear_only_candidates(self, pipeline_report):
         survivors = set(pipeline_report.perfect_survivors)
