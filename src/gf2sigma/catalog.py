@@ -264,6 +264,8 @@ def build_catalog() -> Catalog:
     m1 = mersenne_raw[0][1]
     stype_raw: list[tuple[str, Poly, str, tuple[int, ...]]] = []
     for name, a, b, c in _STYPE_PARAMS:
+        if min(a, b, c) < 1:
+            raise CatalogError(f"{name}: parameters ({a},{b},{c}) must all be >= 1")
         if _int_gcd(a, b, c) != 1:
             raise CatalogError(f"{name}: parameters ({a},{b},{c}) are not coprime")
         poly = one_plus_product(m1, a, b, c)

@@ -13,10 +13,11 @@ and results are always sorted by (degree, mask).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .gf2poly import Poly, _divide_out, _divmod, _gcd, _mod, _mul, _derivative, _popcount, _pow, _sqr_mod, _sqrt
+from .gf2poly import Poly, _divide_out, _divmod, _gcd, _mod, _mul, _derivative, _pow, _sqr_mod, _sqrt
 
 __all__ = ["Factorization", "factor", "irreducibles", "is_irreducible", "is_squarefree", "omega", "rad"]
 
@@ -203,35 +204,68 @@ def is_squarefree(p: Poly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _mark_products(p: int, budget: int, comp: bytearray) -> None:
-    """Mark p*q composite for every q with constant term 1, 2 <= deg q <= budget."""
-    prods = [p]  # p*s for s odd, s < 2^t, grown level by level
-    for t in range(1, budget + 1):
-        if t >= 2:
-            top = p << t
-            for w in prods:
-                comp[top ^ w] = 1
-        if t < budget:
-            sh = p << t
-            prods += [sh ^ w for w in prods]
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _irreducible_masks(max_degree: int) -> list[int]:
-    """All irreducible masks of degree 1..max_degree in (degree, mask) order."""
+    """All irreducible masks of degree 1..max_degree in (degree, mask) order.
+
+    A sieve over cand[m], m < 2^(D+1) with D = max_degree.  Soundness:
+
+    - Wheel.  cand starts set exactly at the masks of degree >= 1 that
+      neither x nor x+1 divides: the odd masks (constant term 1) of odd
+      weight (value 1 at x = 1).
+    - Every such composite c (deg c <= D) has a prime factor p with
+      2 <= deg p <= D/2, and its cofactor s = c/p has deg s >= deg p.  Take p
+      of least degree: every prime factor of s has degree >= deg p, so
+      deg p <= deg c / 2, and deg p >= 2 since x and x+1 do not divide c.
+    - s has constant term 1, and odd weight: weight parity is the value at
+      x = 1, which is multiplicative, and c(1) = 1.  So marking p*s for
+      every odd prime p of degree 2..D/2 (the sieve to D//2) and every odd s
+      of odd weight with deg p <= deg s <= D - deg p clears every composite.
+      The products p*s are grown level by level in two lists split by the
+      weight parity of s; adding x^t to s flips it, so level t = deg s marks
+      (p << t) ^ w for w in the even-parity list.
+    - No prime is marked: each mark p*s has two factors of degree >= 2.
+    - The survivors are the primes of degree >= 2; x and x+1 are prepended.
+    """
     if max_degree < 1:
         return []
+    # k has even weight iff 2k+1 has odd weight; this is the Thue-Morse
+    # sequence flipped, doubled to length 2^D
+    even_weight = bytearray(b"\x01")
+    for _ in range(max_degree):
+        even_weight += even_weight.translate(_FLIP)
+    cand = bytearray(1 << (max_degree + 1))
+    cand[1::2] = even_weight
+    del even_weight
+    cand[1] = 0  # the constant 1
+    for p in _irreducible_masks(max_degree // 2)[2:]:
+        dp = p.bit_length() - 1
+        last = max_degree - dp
+        even, odd = [], [p]  # p*s for odd s < 2^t, by the weight parity of s
+        for t in range(1, last - 1):
+            top = p << t
+            level = list(map(top.__xor__, even))  # deg s = t, s of odd weight
+            if t >= dp:
+                for m in level:
+                    cand[m] = 0
+            even += map(top.__xor__, odd)
+            odd += level
+        # the last two levels come straight from the lists for s < 2^(last-1):
+        # s + x^(last-1) and s + x^last for s of even weight, and
+        # s + x^(last-1) + x^last for s of odd weight
+        below, top = p << (last - 1), p << last
+        if last - 1 >= dp:
+            for w in even:
+                cand[below ^ w] = 0
+        for w in even:
+            cand[top ^ w] = 0
+        top ^= below
+        for w in odd:
+            cand[top ^ w] = 0
     out = [2, 3]
-    limit = 1 << (max_degree + 1)
-    comp = bytearray(limit)
-    # odd composites are products of two odd factors, so marking products of
-    # each odd prime with every constant-term-1 multiplier covers them all
-    for m in range(5, limit, 2):
-        if comp[m] or _popcount(m) % 2 == 0:
-            continue  # marked composite, or divisible by x + 1
-        out.append(m)
-        budget = max_degree - (m.bit_length() - 1)
-        if budget >= 2:
-            _mark_products(m, budget, comp)
+    out += map(re.Match.start, re.finditer(b"\x01", cand))
     return out
 
 

@@ -117,6 +117,12 @@ class TestRoster:
         with pytest.raises(CatalogError, match=message):
             build_catalog()
 
+    def test_bad_stype_entry_is_named(self, monkeypatch):
+        params = catalog_module._STYPE_PARAMS
+        monkeypatch.setattr(catalog_module, "_STYPE_PARAMS", (("S_1", 0, 1, 1),) + params[1:])
+        with pytest.raises(CatalogError, match=r"^S_1: parameters \(0,1,1\) must all be >= 1$"):
+            build_catalog()
+
     def test_shape_primes_in_exponent_order(self, catalog):
         members = [catalog[f"M_{i}"] for i in range(1, 6)] + [catalog[f"S_{j}"] for j in range(1, 9)]
         assert catalog.shape == (("x", X.mask), ("(x+1)", (X + ONE).mask),

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
 import oracles
 from gf2sigma.factorizer import (
+    _irreducible_masks,
     factor,
     irreducibles,
     is_irreducible,
@@ -49,6 +52,27 @@ def test_irreducible_counts_match_necklace_formula():
     for p in irreducibles(12):
         by_degree[p.degree] = by_degree.get(p.degree, 0) + 1
     assert by_degree == {d: oracles.necklace_count(d) for d in range(1, 13)}
+
+
+@pytest.mark.parametrize("max_degree", range(13))
+def test_sieve_matches_trial_division(max_degree):
+    # odd and even D, and D < 4, reach the D//2 recursion and its base case
+    assert _irreducible_masks(max_degree) == oracles.sieve_irreducibles(max_degree)
+
+
+def test_sieve_to_degree_20():
+    primes = _irreducible_masks(20)
+    by_degree = Counter(m.bit_length() - 1 for m in primes)
+    assert by_degree == {d: oracles.necklace_count(d) for d in range(1, 21)}
+    assert len(primes) == 111_013
+    assert all(a < b for a, b in zip(primes, primes[1:]))
+    rng = random.Random(20)
+    high = primes[bisect_left(primes, 1 << 13):]
+    sample = rng.sample(high, 200) + [rng.randrange(1 << 13, 1 << 21) for _ in range(400)]
+    prime_set = set(high)
+    verdicts = [is_irreducible(Poly(m)) for m in sample]
+    assert verdicts == [m in prime_set for m in sample]
+    assert verdicts.count(False) > 300
 
 
 def test_sieve_output_sorted_and_irreducible():
