@@ -14,8 +14,8 @@ scan                 exhaustive perfect-polynomial scan up to a degree
 
 Every subcommand takes --format {text,json}; JSON outputs conform to the
 schemas published in `SCHEMAS`.  Exit codes: 0 success (and positive checks),
-1 negative or failed verification or a domain error such as unparsable input,
-2 bad usage.
+1 negative or failed verification or a domain error such as unparsable input
+or a factor/sigma/perfect input above MAX_FACTOR_DEGREE, 2 bad usage.
 """
 
 from __future__ import annotations
@@ -45,7 +45,12 @@ from .search import (
     sigma_x2h_table,
 )
 
-__all__ = ["SCHEMAS", "main"]
+__all__ = ["MAX_FACTOR_DEGREE", "SCHEMAS", "main"]
+
+# Largest degree that factor, sigma and perfect accept.  Factoring time grows
+# 5-10x per doubling of the degree: a random degree-4096 input takes about
+# 1.4 s on a 2-core machine, one of degree 16384 about 161 s.
+MAX_FACTOR_DEGREE = 4096
 
 # ---------------------------------------------------------------------------
 # published JSON schemas, one per subcommand output
@@ -179,8 +184,17 @@ def _normalize_name(raw: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _factor_input(text: str) -> Poly:
+    """parse_expr(text), refusing a degree above MAX_FACTOR_DEGREE (exit 1)."""
+    p = parse_expr(text)
+    if p.degree > MAX_FACTOR_DEGREE:
+        raise ValueError(f"degree {p.degree} exceeds {MAX_FACTOR_DEGREE}, the limit "
+                         f"(MAX_FACTOR_DEGREE) for factor, sigma and perfect")
+    return p
+
+
 def _cmd_factor(args: argparse.Namespace) -> int:
-    p = parse_expr(args.poly)
+    p = _factor_input(args.poly)
     names = _names()
     f = factor(p)
     data = {
@@ -197,7 +211,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
-    p = parse_expr(args.poly)
+    p = _factor_input(args.poly)
     names = _names()
     sv = sigma(p)
     data = {
@@ -213,7 +227,7 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
 
 
 def _cmd_perfect(args: argparse.Namespace) -> int:
-    p = parse_expr(args.poly)
+    p = _factor_input(args.poly)
     value, indec = _perfect_verdict(p)
     perfect = indec is not None
     data = {
@@ -363,7 +377,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 "hex": p.to_hex(),
                 "degree": p.degree,
                 "rendered": f.render(names),
-                "indecomposable": is_indecomposable_perfect(p),
+                "indecomposable": is_indecomposable_perfect(p, f),
             }
         )
     data = {

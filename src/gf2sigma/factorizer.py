@@ -204,7 +204,10 @@ def is_squarefree(p: Poly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_WHEEL = 0b10100110  # W = x(x+1)(x^2+x+1)(x^3+x+1), degree 7
+_WHEEL_PRIMES = (0b10, 0b11, 0b111, 0b1011)
+# residue r mod W -> 1 when gcd(r, W) = 1, else 0
+_WHEEL_UNIT = bytes(_gcd(r, _WHEEL) == 1 for r in range(128)).ljust(256, b"\x00")
 
 
 def _irreducible_masks(max_degree: int) -> list[int]:
@@ -212,35 +215,46 @@ def _irreducible_masks(max_degree: int) -> list[int]:
 
     A sieve over cand[m], m < 2^(D+1) with D = max_degree.  Soundness:
 
-    - Wheel.  cand starts set exactly at the masks of degree >= 1 that
-      neither x nor x+1 divides: the odd masks (constant term 1) of odd
-      weight (value 1 at x = 1).
-    - Every such composite c (deg c <= D) has a prime factor p with
-      2 <= deg p <= D/2, and its cofactor s = c/p has deg s >= deg p.  Take p
-      of least degree: every prime factor of s has degree >= deg p, so
-      deg p <= deg c / 2, and deg p >= 2 since x and x+1 do not divide c.
+    - Wheel.  cand starts set exactly at the masks m with gcd(m, W) = 1 for
+      W = x(x+1)(x^2+x+1)(x^3+x+1), the product of the primes x, x+1, 7 and
+      11 (as masks).  gcd(m, W) = gcd(m mod W, W), and m mod W is built for
+      every m by doubling: the masks below 2^(k+1) are those below 2^k, then
+      the same with x^k added, whose residues are r xor (x^k mod W).  Each
+      level is one 256-byte `translate` table; the last one maps straight to
+      the coprimality flag, so no full-size residue array is built.
+    - The constant 1 is cleared; the wheel primes, which divide W, are
+      prepended to the survivors.
+    - Every composite c (deg c <= D) coprime to W has a prime factor p of
+      least degree with 3 <= deg p <= D/2: deg p <= deg c / 2 because every
+      prime factor of the cofactor s = c/p has degree >= deg p, and deg p >= 3
+      because no prime of degree <= 2 divides c.  p is not x^3+x+1, so
+      p >= x^3+x^2+1 in mask order.
     - s has constant term 1, and odd weight: weight parity is the value at
       x = 1, which is multiplicative, and c(1) = 1.  So marking p*s for
-      every odd prime p of degree 2..D/2 (the sieve to D//2) and every odd s
-      of odd weight with deg p <= deg s <= D - deg p clears every composite.
-      The products p*s are grown level by level in two lists split by the
-      weight parity of s; adding x^t to s flips it, so level t = deg s marks
-      (p << t) ^ w for w in the even-parity list.
-    - No prime is marked: each mark p*s has two factors of degree >= 2.
-    - The survivors are the primes of degree >= 2; x and x+1 are prepended.
+      every prime p from x^3+x^2+1 to degree D/2 (the sieve to D//2) and
+      every odd s of odd weight with deg p <= deg s <= D - deg p clears every
+      composite left by the wheel.  The products p*s are grown level by
+      level in two lists split by the weight parity of s; adding x^t to s
+      flips it, so level t = deg s marks (p << t) ^ w for w in the
+      even-parity list.
+    - No prime is marked: each mark p*s has two factors of degree >= 3.
     """
     if max_degree < 1:
         return []
-    # k has even weight iff 2k+1 has odd weight; this is the Thue-Morse
-    # sequence flipped, doubled to length 2^D
-    even_weight = bytearray(b"\x01")
+    res = bytearray(1)  # res[m] = m mod W for the masks m < 2^k
+    xk = 1  # x^k mod W
     for _ in range(max_degree):
-        even_weight += even_weight.translate(_FLIP)
-    cand = bytearray(1 << (max_degree + 1))
-    cand[1::2] = even_weight
-    del even_weight
+        res += res.translate(bytes(r ^ xk for r in range(256)))
+        xk <<= 1
+        if xk >> 7:
+            xk ^= _WHEEL
+    top = res.translate(bytes(_WHEEL_UNIT[r ^ xk] for r in range(256)))
+    cand = res.translate(_WHEEL_UNIT)
+    del res
+    cand += top
+    del top
     cand[1] = 0  # the constant 1
-    for p in _irreducible_masks(max_degree // 2)[2:]:
+    for p in _irreducible_masks(max_degree // 2)[len(_WHEEL_PRIMES):]:
         dp = p.bit_length() - 1
         last = max_degree - dp
         even, odd = [], [p]  # p*s for odd s < 2^t, by the weight parity of s
@@ -264,7 +278,7 @@ def _irreducible_masks(max_degree: int) -> list[int]:
         top ^= below
         for w in odd:
             cand[top ^ w] = 0
-    out = [2, 3]
+    out = [q for q in _WHEEL_PRIMES if q < len(cand)]
     out += map(re.Match.start, re.finditer(b"\x01", cand))
     return out
 

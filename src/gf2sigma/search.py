@@ -17,16 +17,19 @@ The sigma tables list every sigma(base^{2h}) that factors entirely over the
 past which none can, so the tables are complete.
 
 `exhaustive_scan` enumerates the monic polynomials of degree 1..max_degree
-by unique factorization (a DFS over ordered prime multisets) while updating
-sigma multiplicatively, and reports all perfect polynomials found.  Two rules,
-sound for every A with sigma(A) = A (odd ones included), cut subtrees that
-hold no perfect polynomial:
+by unique factorization (a DFS over ordered prime multisets) while tracking
+the part of sigma not yet matched, and reports all perfect polynomials found.
+Three rules, sound for every A with sigma(A) = A (odd ones included), cut
+subtrees that hold no perfect polynomial:
 
 * half-degree: if P^e exactly divides A then sigma(P^e), coprime to P,
   divides A / P^e, so 2*e*deg P <= deg A;
 * divisibility: below a node a, r = sigma(a) / gcd(sigma(a), a) must divide
   the rest of A, so it fits the remaining degree and has no factor among
-  the primes already decided.
+  the primes already decided;
+* odd exponent: an odd prime with an odd exponent puts x(x+1) into sigma(A),
+  and x+1 with an odd exponent puts x there, so if A lacks x or x+1 every
+  odd prime has an even exponent, and if A lacks x so does x+1.
 
 The soundness argument is in `exhaustive_scan`'s docstring.
 """
@@ -41,7 +44,7 @@ from itertools import product
 from operator import lshift
 from typing import Callable, Iterable
 
-from .gf2poly import Poly, _bar, _divide_out, _divmod, _gcd, _mod, _mul, _popcount, _pow
+from .gf2poly import Poly, _bar, _divide_out, _divmod, _mod, _mul, _popcount, _pow
 from .factorizer import Factorization, _irreducible_masks
 from .sigma import _geom_sum, _split_2adic
 # bench/tracing.py wraps search.build_catalog by name; the code here reads
@@ -426,52 +429,96 @@ def run_pipeline() -> SearchReport:
 _SCAN_PRIMES: list[int] = []  # per-process state for worker tasks
 
 
-def _rest_factor(idx: int, a: int, s: int, budget: int) -> int:
-    """The divisibility rule at a scan node; 0 when no perfect A lies below it.
+def _rest_ok(idx: int, r: int) -> bool:
+    """The divisibility rule's prime tests at a node of primes[0..idx].
 
-    a is a product of exact powers of primes[0..idx] and s = sigma(a).  Any
-    A below the node is a * rest with rest over primes[idx+1:], so a perfect
-    one needs r = s / gcd(s, a) to divide rest: deg r <= budget, and r has no
-    factor x (r & 1), x+1 (popcount parity) or x^2+x+1 (0b111), which are
-    primes[0..2].  Returns r, which is 1 exactly when s == a.
+    r, the part of sigma(a) not in a, must divide the rest of A, so it has
+    no factor x (r & 1), x+1 (popcount parity) or x^2+x+1 (0b111) once that
+    prime is decided; those are primes[0..2].
     """
-    r = _divmod(s, _gcd(s, a))[0]
-    if (r.bit_length() - 1 > budget or not r & 1 or (idx and not _popcount(r) & 1)
-            or (idx >= 2 and not _mod(r, 0b111))):
-        return 0
-    return r
+    return bool(r & 1) and (not idx or _popcount(r) & 1) and (idx < 2 or _mod(r, 0b111) != 0)
 
 
-def _scan_node(primes: list[int], idx: int, a: int, s: int, budget: int, half: int, out: list[int]) -> None:
-    """Record a if perfect, then visit its children unless the rules rule them out."""
-    r = _rest_factor(idx, a, s, budget)
+def _exponent_step(a: int, idx: int) -> int:
+    """2 when the odd-exponent rule allows primes[idx] only even exponents below a, else 1.
+
+    Choosing primes[idx] decides every earlier prime, so A lacks x exactly
+    when a does (idx >= 1), and lacks x+1 exactly when a does (idx >= 2).
+    """
+    if idx and (a & 1 or (idx > 1 and _popcount(a) & 1)):
+        return 2
+    return 1
+
+
+def _cancel(se: int, w: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]], int]:
+    """(se / g, w / g, deg g) for g = gcd(se, w), w a list of (prime, exponent)."""
+    left: list[tuple[int, int]] = []
+    dg = 0
+    for q, f in w:
+        k = 0
+        while k < f:
+            quo, rem = _divmod(se, q)
+            if rem:
+                break
+            se = quo
+            k += 1
+        dg += k * (q.bit_length() - 1)
+        if k < f:
+            left.append((q, f - k))
+    return se, left, dg
+
+
+def _scan_node(primes: list[int], idx: int, a: int, r: int, w: list[tuple[int, int]], budget: int,
+               half: int, out: list[int]) -> None:
+    """Record a if perfect, then visit its children unless the divisibility rule rules them out."""
+    if not _rest_ok(idx, r):
+        return
     if r == 1:
         out.append(a)
-    if r and budget:
-        _scan_children(primes, idx + 1, a, s, r, budget, half, out)
+    if budget:
+        _scan_children(primes, idx + 1, a, r, w, budget, half, out)
 
 
-def _scan_children(primes: list[int], i0: int, a: int, s: int, r: int, budget: int, half: int,
-                   out: list[int]) -> None:
+def _scan_children(primes: list[int], i0: int, a: int, r: int, w: list[tuple[int, int]], budget: int,
+                   half: int, out: list[int]) -> None:
     """Visit a * p^e for each primes[i0:] p and e that the rules allow.
 
-    p is the smallest prime of the rest, so it has degree at most deg r when
-    r != 1, and no prime after the first one dividing r can be it.
+    (r, w) is a's deficit pair, deg r = deg w.  p is the smallest prime of
+    the rest, so it has degree at most deg r when r != 1, and no prime after
+    the first one dividing r can be it.  The child's deg r' is tested before
+    its pair is formed.
     """
+    dr = r.bit_length() - 1
     cap = min(budget, half)  # e * deg p <= cap: the budget and the half-degree rule
-    top = cap if r == 1 else min(cap, r.bit_length() - 1)
+    top = cap if r == 1 else min(cap, dr)
+    steps = (1, _exponent_step(a, 1), _exponent_step(a, 2))
     for idx in range(i0, len(primes)):
         p = primes[idx]
         dp = p.bit_length() - 1
-        if dp > top:
+        step = steps[min(idx, 2)]
+        if dp > top or step * dp > cap:
             break
-        pe = p
-        se = p ^ 1
-        for e in range(1, cap // dp + 1):
-            _scan_node(primes, idx, _mul(a, pe), _mul(s, se), budget - e * dp, half, out)
-            pe = _mul(pe, p)
-            se = _mul(se, p) ^ 1  # sigma(p^(e+1)) = sigma(p^e)*p + 1
+        rest, v = r, 0
         if r != 1 and not _mod(r, p):
+            rest, v = _divide_out(r, p)
+        # p must not divide r', so e >= v; deg r' = dr - v*dp + e*dp - deg gcd(sigma(p^e), w)
+        e0 = max(v + v % step, step)
+        base = dr - v * dp - budget
+        pstep, add = (p, 1) if step == 1 else (_mul(p, p), p ^ 1)
+        se = 0
+        for e in range(e0, cap // dp + 1, step):
+            need = base + 2 * e * dp  # deg gcd(sigma(p^e), w) must reach this
+            if need > dr or need > e * dp:  # deg gcd <= min(deg w, deg sigma(p^e)), and need grows faster
+                break
+            # sigma(p^(e+step)) = sigma(p^e) * p^step + sigma(p^(step-1))
+            se = _mul(se, pstep) ^ add if se else _geom_sum(p, e)
+            s1, left, dg = _cancel(se, w)
+            if dg < need:
+                continue
+            if e > v:
+                left.append((p, e - v))
+            _scan_node(primes, idx, _mul(a, _pow(p, e)), _mul(rest, s1), left, budget - e * dp, half, out)
+        if v:
             break
 
 
@@ -484,8 +531,8 @@ def _scan_task(args: tuple[int, int, int]) -> list[int]:
     idx, e, max_degree = args
     p = _SCAN_PRIMES[idx]
     out: list[int] = []
-    _scan_node(_SCAN_PRIMES, idx, _pow(p, e), _geom_sum(p, e), max_degree - (p.bit_length() - 1) * e,
-               max_degree // 2, out)
+    _scan_node(_SCAN_PRIMES, idx, _pow(p, e), _geom_sum(p, e), [(p, e)],
+               max_degree - (p.bit_length() - 1) * e, max_degree // 2, out)
     return out
 
 
@@ -509,11 +556,11 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = 
     """All perfect polynomials of degree 1..max_degree, sorted by (degree, mask).
 
     A DFS over factorizations: a node is a = prod p_i^e_i over a prefix
-    primes[0..idx] of the irreducibles in (degree, mask) order, with
-    s = sigma(a); its children multiply in p^e for a later prime p.  Every
-    monic polynomial is one node, so the scan is complete if each rule below
-    only cuts subtrees holding no perfect A, odd ones included.  Let
-    deg A <= D = max_degree and sigma(A) = A.
+    primes[0..idx] of the irreducibles in (degree, mask) order; its children
+    multiply in p^e for a later prime p.  Every monic polynomial is one
+    node, so the scan is complete if each rule below only cuts subtrees
+    holding no perfect A, odd ones included.  Let deg A <= D = max_degree
+    and sigma(A) = A.
 
     Half-degree rule.  If P^e exactly divides A, sigma(P^e) has degree
     e*deg P, is coprime to P (it is 1 mod P) and divides sigma(A) = A, hence
@@ -521,17 +568,46 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = 
     with 2*e*deg P > D are never tried.
 
     Divisibility rule.  Below a node, A = a * rest with rest built from
-    primes after primes[idx].  sigma(A) = s * sigma(rest) = A and
-    gcd(a, rest) = 1 give s | a * rest, so r = s / gcd(s, a) divides rest.
-    Hence deg r <= D - deg a, and r has no factor among primes[0..idx]
-    (`_rest_factor` tests x, x+1 and x^2+x+1).  Also, the next prime of A is
-    the smallest prime of rest, so when r != 1 it has degree <= deg r, and
-    it cannot come after the first prime dividing r.
+    primes after primes[idx].  sigma(A) = sigma(a) * sigma(rest) = A and
+    gcd(a, rest) = 1 give sigma(a) | a * rest, so r = sigma(a) / g with
+    g = gcd(sigma(a), a) divides rest.  Hence deg r <= D - deg a, and r has
+    no factor among primes[0..idx] (`_rest_ok` tests x, x+1 and x^2+x+1,
+    and a child's exponent of p is at least v_p(r)).  Also, the next prime
+    of A is the smallest prime of rest, so when r != 1 it has degree
+    <= deg r, and it cannot come after the first prime dividing r.
+
+    Deficit state.  A node carries r and w = a / g, not a and sigma(a):
+    gcd(r, w) = 1, and deg w = deg r because deg sigma(a) = deg a.  For the
+    child a * p^e with sigma_e = sigma(p^e), p divides neither w (an earlier
+    prime's power) nor sigma_e (which is 1 mod p), and gcd(r, w) = 1, so
+
+        gcd(sigma(a) * sigma_e, a * p^e) = g * gcd(r, p^e) * gcd(sigma_e, w),
+
+    r' = (r / gcd(r, p^e)) * (sigma_e / gcd(sigma_e, w)) and
+    w' = (w / gcd(sigma_e, w)) * (p^e / gcd(r, p^e)), again coprime.  With
+    e >= v_p(r) = v, deg r' = deg r - v*deg p + e*deg p - deg gcd(sigma_e, w),
+    and gcd(sigma_e, w) comes from dividing sigma_e by w's few primes.  So
+    the degree test deg r' <= D - deg a - e*deg p runs before r', w' or the
+    child are formed.  deg gcd(sigma_e, w) <= min(deg w, e*deg p), and the
+    degree it must reach grows by 2*deg p per step of e against at most
+    deg p for that bound, so once the bound fails every larger e fails too.
+
+    Odd-exponent rule.  Let P be an odd prime (neither x nor x+1) and e odd.
+    Then e + 1 = 2^t*s with t >= 1, and sigma(P^e) =
+    (1+P)^(2^t-1) * sigma(P^(s-1))^(2^t) (`check_geometric_split`), so 1+P
+    divides it.  P(0) = P(1) = 1, so 1+P vanishes at 0 and at 1: x(x+1)
+    divides 1+P, hence sigma(P^e) and sigma(A) = A.  Likewise for P = x+1
+    with e odd, 1+P = x divides sigma(A) = A.  So if A lacks x or x+1, every
+    odd prime has an even exponent, and if A lacks x, x+1 has an even
+    exponent too.  Choosing primes[idx] decides every earlier prime, so below a the
+    rule is known from a alone (`_exponent_step`): A lacks x when idx >= 1
+    and a & 1, and lacks x+1 when idx >= 2 and a has odd weight.
 
     The ceiling defaults to 24 and may be overridden with the
     GF2SIGMA_SCAN_CEILING environment variable or ceiling=, up to
     MAX_SCAN_CEILING.  workers is capped at os.cpu_count(); above 1, each
-    top-level (prime, exponent) pair is one pool task.
+    top-level (prime, exponent) pair that the odd-exponent rule allows is
+    one pool task.
     """
     ceiling = _scan_ceiling(ceiling)
     if not 1 <= max_degree <= ceiling:
@@ -544,11 +620,12 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = 
     primes = primes[:bisect_left(primes, 1 << (half + 1))]  # the half-degree rule
     found: list[int] = []
     if workers <= 1:
-        _scan_children(primes, 0, 1, 1, 1, max_degree, half, found)
+        _scan_children(primes, 0, 1, 1, [], max_degree, half, found)
     else:
         import multiprocessing  # only the pool path pays for this import
         tasks = [(idx, e, max_degree) for idx, p in enumerate(primes)
-                 for e in range(1, half // (p.bit_length() - 1) + 1)]
+                 for step in (_exponent_step(1, idx),)
+                 for e in range(step, half // (p.bit_length() - 1) + 1, step)]
         with multiprocessing.Pool(workers, initializer=_scan_task_init, initargs=(primes,)) as pool:
             for chunk in pool.imap_unordered(_scan_task, tasks):
                 found.extend(chunk)

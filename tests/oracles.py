@@ -39,6 +39,13 @@ def divmod_(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
+def gcd(a: int, b: int) -> int:
+    """Euclid's algorithm on masks."""
+    while b:
+        a, b = b, divmod_(a, b)[1]
+    return a
+
+
 def valuation(a: int, q: int) -> int:
     """Largest e such that q^e divides the nonzero a, by long division."""
     e = 0
@@ -195,4 +202,49 @@ def unpruned_perfect_scan(max_degree: int, primes: list[int]) -> list[int]:
                 pe, se, rem = mul(p, pe), mul(p, se) ^ 1, rem - dp
 
     walk(0, 1, 1, max_degree)
+    return sorted(found)
+
+
+def reference_perfect_scan(max_degree: int) -> list[int]:
+    """Masks of all perfect polynomials of degree 1..max_degree, ascending.
+
+    The pruned DFS with the gcd-state node.  A node a is a product of exact
+    powers of a prefix primes[0..idx] with s = sigma(a); a perfect A below it
+    needs r = s / gcd(s, a) to divide the rest, so deg r fits the remaining
+    degree and r has no factor x, x+1 (once idx >= 1) or x^2+x+1 (once
+    idx >= 2).  The next prime has degree <= deg r when r != 1 and comes no
+    later than the first prime dividing r.  If P^e exactly divides a perfect
+    A then sigma(P^e) divides A / P^e, so 2*e*deg P <= max_degree and only
+    the primes of degree <= max_degree // 2 are sieved.
+    """
+    half = max_degree // 2
+    primes = sieve_irreducibles(half)
+    found: list[int] = []
+
+    def node(idx: int, a: int, s: int, budget: int) -> None:
+        r = divmod_(s, gcd(s, a))[0]
+        if (degree(r) > budget or not r & 1 or (idx and not bin(r).count("1") & 1)
+                or (idx >= 2 and not divmod_(r, 0b111)[1])):
+            return
+        if r == 1:
+            found.append(a)
+        if budget:
+            children(idx + 1, a, s, r, budget)
+
+    def children(i0: int, a: int, s: int, r: int, budget: int) -> None:
+        cap = min(budget, half)
+        top = cap if r == 1 else min(cap, degree(r))
+        for idx in range(i0, len(primes)):
+            p = primes[idx]
+            dp = degree(p)
+            if dp > top:
+                break
+            pe, se = p, p ^ 1
+            for e in range(1, cap // dp + 1):
+                node(idx, mul(a, pe), mul(s, se), budget - e * dp)
+                pe, se = mul(pe, p), mul(se, p) ^ 1
+            if r != 1 and not divmod_(r, p)[1]:
+                break
+
+    children(0, 1, 1, 1, max_degree)
     return sorted(found)

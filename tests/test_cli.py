@@ -18,7 +18,7 @@ from gf2sigma import cli, factorizer
 from gf2sigma.catalog import build_catalog
 from gf2sigma.cli import SCHEMAS, main
 from gf2sigma.gf2poly import ParseError, parse_expr
-from gf2sigma.search import MAX_SCAN_CEILING
+from gf2sigma.search import MAX_SCAN_CEILING, exhaustive_scan
 
 sigma_module = importlib.import_module("gf2sigma.sigma")  # the package's sigma is the function
 
@@ -107,6 +107,23 @@ class TestFactor:
         assert code == 0
         assert data["poly"] in out
         assert "M_1" in out
+
+
+class TestFactoringDegreeLimit:
+    """factor, sigma and perfect refuse inputs above cli.MAX_FACTOR_DEGREE."""
+
+    @pytest.mark.parametrize("command", ["factor", "sigma", "perfect"])
+    def test_above_limit_is_domain_error(self, run, command):
+        code, out, err = run(command, f"x^{cli.MAX_FACTOR_DEGREE + 1}+1")
+        assert (code, out) == (1, "")
+        assert err == (f"error: degree {cli.MAX_FACTOR_DEGREE + 1} exceeds {cli.MAX_FACTOR_DEGREE}, the limit "
+                       "(MAX_FACTOR_DEGREE) for factor, sigma and perfect\n")
+
+    def test_limit_itself_is_accepted(self, run):
+        limit = cli.MAX_FACTOR_DEGREE
+        assert run("factor", f"x^{limit}") == (0, f"x^{limit} = (x)^{limit}\n", "")
+        code, out, _ = run("perfect", f"x^{limit}")
+        assert code == 1 and "not perfect" in out
 
 
 class TestSigma:
@@ -356,6 +373,21 @@ class TestScan:
         assert code == 1
         assert "GF2SIGMA_SCAN_CEILING" in err
         assert "Traceback" not in err
+
+    def test_each_result_is_factored_once(self, run, monkeypatch):
+        cli._names()  # the shared catalog, built before counting
+        real = factorizer._factor_mask
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(factorizer, "_factor_mask", counting)
+        monkeypatch.setattr(sigma_module, "_factor_mask", counting)
+        code, out, _ = run("scan", "--max-degree", "12")
+        assert code == 0 and out.endswith("\n8 perfect polynomials of degree 1..12\n")
+        assert sorted(calls) == sorted(p.mask for p in exhaustive_scan(12))
 
     def test_bad_worker_count(self, run):
         code, _, err = run("scan", "--max-degree", "6", "--workers", "0")

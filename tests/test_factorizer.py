@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 import oracles
+from gf2sigma import factorizer
 from gf2sigma.factorizer import (
     _irreducible_masks,
     factor,
@@ -54,10 +55,30 @@ def test_irreducible_counts_match_necklace_formula():
     assert by_degree == {d: oracles.necklace_count(d) for d in range(1, 13)}
 
 
-@pytest.mark.parametrize("max_degree", range(13))
+@pytest.mark.parametrize("max_degree", range(15))
 def test_sieve_matches_trial_division(max_degree):
-    # odd and even D, and D < 4, reach the D//2 recursion and its base case
+    # odd and even D reach the D//2 recursion and its base case (two levels
+    # from D = 12); D < 3 puts the wheel prime x^3+x+1 past the array
     assert _irreducible_masks(max_degree) == oracles.sieve_irreducibles(max_degree)
+
+
+def test_sieve_marks_only_past_the_wheel(monkeypatch):
+    """The wheel clears every multiple of x, x+1, x^2+x+1 and x^3+x+1, so the
+    marking loop walks the primes from x^3+x^2+1 on."""
+    sieve = factorizer._irreducible_masks
+    walked = []
+
+    class Primes(list):
+        def __getitem__(self, key):
+            got = super().__getitem__(key)
+            walked.append(got)
+            return got
+
+    monkeypatch.setattr(factorizer, "_irreducible_masks", lambda d: Primes(sieve(d)))
+    assert sieve(14) == oracles.sieve_irreducibles(14)
+    assert walked[-1] == oracles.sieve_irreducibles(7)[4:]  # the levels D = 1, 3, 7 come first
+    assert walked[-1][0] == 0b1101
+    assert not {p for level in walked for p in level} & {0b10, 0b11, 0b111, 0b1011}
 
 
 def test_sieve_to_degree_20():

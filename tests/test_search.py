@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import random
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -427,27 +428,53 @@ class TestScanPruning:
         unpruned = oracles.unpruned_perfect_scan(20, _irreducible_masks(20))
         assert [p.mask for p in scan_degree20["single"]] == unpruned
 
+    @pytest.mark.parametrize("max_degree", [*range(1, 23), 24])
+    def test_equals_reference_scan(self, max_degree):
+        """The deficit-state scan against the gcd-state reference DFS."""
+        got = [p.mask for p in exhaustive_scan(max_degree)]
+        assert got == oracles.reference_perfect_scan(max_degree)
+
+    def test_workers_equal_reference_scan(self):
+        assert [p.mask for p in exhaustive_scan(16, workers=2)] == oracles.reference_perfect_scan(16)
+
     def test_rules_accept_every_prefix_of_the_known_perfects(self, t_polys):
-        """Walk each perfect A of degree <= 20 in the scan's prime order; every
-        prefix node must pass the rules that would otherwise cut it."""
+        """Walk each perfect A of degree <= 20 in the scan's prime order.  Every
+        prefix node must pass the odd-exponent rule, the degree test and the
+        divisibility checks, and its deficit pair (r, w) must be the one that
+        gcd(sigma(a), a) gives."""
         trivials = [(X * (X + ONE)) ** (2**n - 1) for n in range(1, 4)]
         primes = _irreducible_masks(20)
         perfects = trivials + list(t_polys.values())
         assert len(perfects) == 14
         for A in perfects:
             powers = sorted((q.mask, e) for q, e in factor(A))
-            a = s = 1
+            a = s = r = w_mask = 1
+            w: list[tuple[int, int]] = []
             for k, (p, e) in enumerate(powers):
-                assert 2 * e * oracles.degree(p) <= A.degree  # half-degree
+                idx, dp = primes.index(p), oracles.degree(p)
+                assert 2 * e * dp <= A.degree  # half-degree
+                assert e % search._exponent_step(a, idx) == 0  # odd exponent
+                v = oracles.valuation(r, p)
+                assert v <= e  # p does not divide the child's r
+                se = oracles.divisor_sigma_scan(oracles.pow_(p, e))
+                s1, left, dg = search._cancel(se, w)
+                g_se = oracles.gcd(se, w_mask)
+                assert (oracles.mul(s1, g_se), dg) == (se, oracles.degree(g_se))
+                budget = 20 - oracles.degree(a) - e * dp
+                assert oracles.degree(r) - v * dp + e * dp - dg <= budget, (A, k)  # degree test
                 a = oracles.mul(a, oracles.pow_(p, e))
-                s = oracles.mul(s, oracles.divisor_sigma_scan(oracles.pow_(p, e)))
-                r = search._rest_factor(primes.index(p), a, s, 20 - oracles.degree(a))
-                assert r, (A, k)
-                assert oracles.mul(r, oracles.divmod_(s, r)[0]) == s
+                s = oracles.mul(s, se)
+                g = oracles.gcd(s, a)
+                r = oracles.mul(oracles.divmod_(r, oracles.pow_(p, v))[0], s1)
+                w = left + [(p, e - v)] if e > v else left
+                assert r == oracles.divmod_(s, g)[0], (A, k)
+                w_mask = reduce(oracles.mul, (oracles.pow_(q, f) for q, f in w), 1)
+                assert w_mask == oracles.divmod_(a, g)[0], (A, k)
+                assert search._rest_ok(idx, r), (A, k)  # divisibility
                 if k + 1 < len(powers):
                     nxt = powers[k + 1][0]
                     if r != 1:  # the next prime is no later than r's first prime
                         assert oracles.degree(nxt) <= oracles.degree(r)
                         assert not any(oracles.divmod_(r, q)[1] == 0 for q in primes if p < q < nxt)
                 else:
-                    assert r == 1 and a == s == A.mask
+                    assert r == 1 and w == [] and a == s == A.mask

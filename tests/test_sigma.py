@@ -7,7 +7,7 @@ import random
 import pytest
 
 import oracles
-from gf2sigma.factorizer import factor
+from gf2sigma.factorizer import Factorization, factor
 from gf2sigma.gf2poly import ONE, X, ZERO, Poly, gcd, parse, parse_expr
 from gf2sigma.sigma import (
     check_geometric_split,
@@ -162,3 +162,15 @@ def test_not_perfect_examples():
 def test_indecomposable_requires_perfect_input():
     with pytest.raises(ValueError):
         is_indecomposable_perfect(X)
+
+
+def test_indecomposable_reuses_a_given_factorization(t_polys):
+    for name, p in t_polys.items():
+        assert is_indecomposable_perfect(p, factor(p)), name
+    square = trivial_perfect(1) ** 2  # x^2(x+1)^2, not perfect
+    with pytest.raises(ValueError, match="not perfect"):
+        is_indecomposable_perfect(square, factor(square))
+    t = trivial_perfect(1)  # x(x+1)
+    for wrong in (factor(X), Factorization(((t, 1),)), Factorization(((X, 1), (X + ONE, 1), (X, 0)))):
+        with pytest.raises(ValueError, match="not the prime factorization"):
+            is_indecomposable_perfect(t, wrong)
