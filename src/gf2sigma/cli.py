@@ -283,13 +283,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 def _cmd_admissible(args: argparse.Namespace) -> int:
     cat = _catalog()
-    polys: list[Poly] = []
-    names: list[str] = []
+    members: dict[str, Poly] = {}  # each resolved member once, in first-seen order
     for raw in args.names:
         if raw.strip().upper() in ("F", "FAMILY", "ALL"):
             for e in cat.mersennes + cat.stypes:
-                polys.append(e.poly)
-                names.append(e.name)
+                members.setdefault(e.name, e.poly)
             continue
         key = _normalize_name(raw)
         entry = cat.by_name.get(key)
@@ -297,12 +295,11 @@ def _cmd_admissible(args: argparse.Namespace) -> int:
             raise CatalogError(
                 f"unknown family member {raw!r} (expected M_1..M_13, S_1..S_15, or F)"
             )
-        polys.append(entry.poly)
-        names.append(entry.name)
-    report = check_admissible(polys)
-    data = {"names": names, **report.to_json()}
+        members.setdefault(entry.name, entry.poly)
+    report = check_admissible(members.values())
+    data = {"names": list(members), **report.to_json()}
     lines = [
-        f"family: {' '.join(names)} ({len(report.family)} members)",
+        f"family: {' '.join(members)} ({len(report.family)} members)",
         f"closed under star or bar: {'yes' if report.closed_under_star_or_bar else 'no'}",
     ]
     if report.sigma_x_witness:

@@ -5,8 +5,10 @@ A = x^a (x+1)^b * prod M_i^c_i * prod S_j^d_j, one vector of 15 exponents
 over the catalog's shape primes (`ExponentTuple`).  sigma splits
 geometrically over the 2-adic form e = 2^k s - 1 (s odd) of each exponent,
 so `_sigma_system` generates the vector v_Q(sigma(P^e)) for each shape prime
-P and exponent e from 1+P and the valuation profile
-`catalog._even_sigma_valuations`; no order or exponent is listed by hand.
+P and exponent e from 1+P and the splits `catalog._even_sigma_splits`.  Only
+one top per prime (`_TOPS`) and the solve order (`_RUNS`) are declared: each
+prime's odd parts s come from the splits of sigma(P^(s-1)) that the solve
+order can read, so no odd part or valuation is written by hand.
 `compute_sigma_exponents` sums those vectors into the exponent vector of
 sigma(A), and the pipeline solves sigma(A) = A as a fixed point of that
 system in three steps, then closes the perfect survivors under the
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import lshift
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .gf2poly import Poly, _bar, _divide_out, _divmod, _mod, _mul, _popcount, _pow
 from .factorizer import Factorization, _irreducible_masks
@@ -50,7 +52,7 @@ from .sigma import _geom_sum, _split_2adic
 # bench/tracing.py wraps search.build_catalog by name; the code here reads
 # the shared catalog `_catalog` and never builds one itself.
 from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, EXPECTED_DEGREE_SUM, Catalog, _catalog,  # noqa: F401
-                      _even_sigma_splits, _even_sigma_valuations, _shape_mask, build_catalog)
+                      _even_sigma_splits, _shape_mask, build_catalog)
 
 __all__ = [
     "ExponentTuple",
@@ -79,17 +81,17 @@ MAX_SCAN_CEILING = 26
 DEFAULT_H_MAX = EXPECTED_DEGREE_SUM // 2
 
 
-def _box(top: int, odds: tuple[int, ...]) -> tuple[int, ...]:
-    """The exponents 2^t s - 1 with 0 <= t <= top and s in odds, t outermost."""
-    return tuple((1 << t) * s - 1 for t in range(top + 1) for s in odds)
+# One top per shape prime, in exponent order: its box is 2^t s - 1 for t = 0..top,
+# and `_sigma_system` derives the odd parts s from the splits and _RUNS.
+_TOPS = (4, 4, 4, 3, 3, 5, 5, 3, *(1,) * (_SHAPE_STYPES - 1))
 
-
-# The parameter box of the search, one exponent tuple per prime of the shape,
-# in exponent order: x, x+1, M_1..M_5, S_1..S_8.
-_X_BOX = _box(4, (1, 3, 5, 7, 9, 13, 15))
-_BOXES = (_X_BOX, _X_BOX,
-          _box(4, (1, 3, 5, 7, 15)), _box(3, (1, 3)), _box(3, (1, 3)), _box(5, (1,)), _box(5, (1,)),
-          _box(3, (1, 3)), *(_box(1, (1,)),) * (_SHAPE_STYPES - 1))
+# The pipeline fixes the shape primes in runs (first index, count): step 1
+# enumerates x, x+1, M_1 and solves M_2, M_3; step 2 solves S_1..S_8; step 3
+# solves M_4, M_5.  Each solved run's equations read only the primes of the
+# runs before it (tested), so its exponents are a slice of their packed sum.
+# A row holds the exponents of the primes fixed so far, in _ORDER.
+_RUNS = ((0, 3), (3, 2), (7, 8), (5, 2))
+_ORDER = [p for first, count in _RUNS for p in range(first, first + count)]
 
 
 class SearchError(RuntimeError):
@@ -133,6 +135,9 @@ class ExponentTuple:
         """Build the tuple from plain exponents of x, x+1, M_1..M_5, S_1..S_8."""
         c = tuple(c) + (0,) * (_SHAPE_MERSENNES - len(c))
         d = tuple(d) + (0,) * (_SHAPE_STYPES - len(d))
+        for name, given, room in (("c", c, _SHAPE_MERSENNES), ("d", d, _SHAPE_STYPES)):
+            if len(given) > room:
+                raise ValueError(f"{name} has {len(given)} exponents, the shape has {room}")
         for name, k in [("a", a), ("b", b), *((f"c_{i}", k) for i, k in enumerate(c, 1)),
                         *((f"d_{j}", k) for j, k in enumerate(d, 1))]:
             if k < 0:
@@ -141,7 +146,8 @@ class ExponentTuple:
 
     def validate(self) -> None:
         """Check membership in the bounded parameter ranges of the search."""
-        if len(self.exponents) != len(_BOXES) or not all(map(tuple.__contains__, _BOXES, self.exponents)):
+        system = _sigma_system()
+        if len(self.exponents) != len(system) or not all(map(dict.__contains__, system, self.exponents)):
             raise ValueError(f"exponent tuple outside the supported ranges: {self}")
 
     def to_json(self) -> dict:
@@ -169,7 +175,7 @@ def _pack(exps: Iterable[int]) -> int:
 
 
 def _unpack(packed: int) -> tuple[int, ...]:
-    return tuple(packed >> (_W * q) & ((1 << _W) - 1) for q in range(len(_BOXES)))
+    return tuple(packed >> (_W * q) & ((1 << _W) - 1) for q in range(len(_TOPS)))
 
 
 @cache
@@ -179,19 +185,26 @@ def _sigma_system() -> tuple[dict[int, int], ...]:
 
     With e = 2^k s - 1, sigma(P^e) = (1+P)^(2^k-1) * sigma(P^(s-1))^(2^k)
     (`sigma.check_geometric_split`), so
-    v_Q(sigma(P^e)) = (2^k - 1) v_Q(1+P) + 2^k v_Q(sigma(P^(s-1))),
-    the last term from the order profile `_even_sigma_valuations`.  Built on
-    first use, so importing the module and building the catalog never pay.
+    v_Q(sigma(P^e)) = (2^k - 1) v_Q(1+P) + 2^k v_Q(sigma(P^(s-1))).
+    P's box is every such e with k <= P's top (k outermost) and s = 1 or
+    s = 2h + 1 where sigma(P^2h) splits over the shape primes
+    (`_even_sigma_splits` misses no h) into primes each enumerated (run 0)
+    or solved in a later run than P, so a solved run's equations read only
+    primes fixed before it.  Built on first use, so importing the module
+    and building the catalog never pay.
     """
     bases = [q for _, q in _catalog().shape]
     shift = {q: _W * i for i, q in enumerate(bases)}
+    run = {bases[p]: k for k, (first, count) in enumerate(_RUNS) for p in range(first, first + count)}
     system = []
-    for p, box in zip(bases, _BOXES):
-        split = {e: _split_2adic(e) for e in box}
+    for p, top in zip(bases, _TOPS):
         one_plus = sum(_divide_out(p ^ 1, q)[1] << shift[q] for q in bases)
-        even = [0] + [sum(c << shift[q] for q, c in profile) for _, profile
-                      in _even_sigma_valuations(p, bases, max(s for _, s in split.values()) // 2)]
-        system.append({e: ((1 << k) - 1) * one_plus + (even[s // 2] << k) for e, (k, s) in split.items()})
+        even = {1: 0}  # odd part s -> packed v_Q(sigma(P^(s-1)))
+        for h, split in _even_sigma_splits(p, bases):
+            if all(run[q] == 0 or run[q] > run[p] for q, _ in split):
+                even[2 * h + 1] = sum(c << shift[q] for q, c in split)
+        system.append({(1 << k) * s - 1: ((1 << k) - 1) * one_plus + (v << k)
+                       for k in range(top + 1) for s, v in even.items()})
     return tuple(system)
 
 
@@ -256,22 +269,13 @@ def sigma_s_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
 # ---------------------------------------------------------------------------
 
 
-# The pipeline fixes the shape primes in runs (first index, count): step 1
-# enumerates x, x+1, M_1 and solves M_2, M_3; step 2 solves S_1..S_8; step 3
-# solves M_4, M_5.  Each solved run's equations read only the primes of the
-# runs before it (tested), so its exponents are a slice of their packed sum.
-# A row holds the exponents of the primes fixed so far, in _ORDER.
-_RUNS = ((0, 3), (3, 2), (7, 8), (5, 2))
-_ORDER = [p for first, count in _RUNS for p in range(first, first + count)]
-
-
 @cache
 def _run_solutions(k: int) -> tuple[int, int, dict[int, tuple[int, ...]]]:
     """(shift, mask, forced): forced maps each slice sum >> shift & mask that
     lies in the boxes of _RUNS[k] to its exponents.  Built once per k; the
     callers only read it."""
     first, count = _RUNS[k]
-    forced = {_pack(exps): exps for exps in product(*_BOXES[first:first + count])}
+    forced = {_pack(exps): exps for exps in product(*_sigma_system()[first:first + count])}
     return _W * first, (1 << (_W * count)) - 1, forced
 
 
@@ -309,11 +313,6 @@ def pipeline_step2(step1: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return _solve_run(step1, 2)
 
 
-def _tuple_mask(t: ExponentTuple, power: Callable[[int, int], int], catalog: Catalog) -> int:
-    """A for power = _pow, sigma(A) for power = _geom_sum."""
-    return _shape_mask(power, t.exponents, catalog.shape)
-
-
 def pipeline_step3(step2: list[tuple[int, ...]]) -> list[tuple[ExponentTuple, Poly]]:
     """Extend each step-2 row by c_4, c_5 solved and keep the fixed points.
 
@@ -328,7 +327,7 @@ def pipeline_step3(step2: list[tuple[int, ...]]) -> list[tuple[ExponentTuple, Po
     for row in _solve_run(step2, 3):
         if sum(map(dict.__getitem__, vectors, row)) == sum(map(lshift, row, shifts)):
             t = ExponentTuple(tuple(e for _, e in sorted(zip(_ORDER, row))))
-            out.append((t, Poly(_tuple_mask(t, _pow, cat))))
+            out.append((t, Poly(_shape_mask(_pow, t.exponents, cat.shape))))
     return out
 
 
@@ -390,7 +389,7 @@ def pipeline_finalize(candidates: list[tuple[ExponentTuple, Poly]], counts: tupl
     for t, p in candidates:
         if not any(t.c + t.d):
             continue
-        if _tuple_mask(t, _geom_sum, cat) == p.mask:
+        if _shape_mask(_geom_sum, t.exponents, cat.shape) == p.mask:
             survivors.append(p)
     survivors.sort()
     closure = sorted({p for p in survivors} | {Poly(_bar(p.mask)) for p in survivors})
@@ -546,9 +545,9 @@ def _scan_ceiling(ceiling: int | None) -> int:
             ceiling = int(raw)
         except ValueError:
             raise ValueError(f"{SCAN_CEILING_ENV} must be an integer, got {raw!r}") from None
-    if ceiling > MAX_SCAN_CEILING:
+    if not 1 <= ceiling <= MAX_SCAN_CEILING:
         raise ValueError(f"{name} must be at most {MAX_SCAN_CEILING} (the scan sieve takes "
-                         f"2^(ceiling+1) bytes), got {ceiling}")
+                         f"2^(ceiling+1) bytes) and at least 1, got {ceiling}")
     return ceiling
 
 

@@ -140,6 +140,24 @@ FAMILY_EXAMPLES = [
     (["M_1", "S_1"], ["T_10", "T_11"]),
 ]
 
+# --- the pipeline's search box ---
+
+# (top, odd parts) of each shape prime's box, in exponent order x, x+1,
+# M_1..M_5, S_1..S_8: the exponents 2^t s - 1 for t = 0..top and each odd
+# part s, t outermost.  S_2 has only s = 1 although sigma(S_2^2) = S_1 * S_7
+# splits, because step 2 solves S_1, S_2 and S_7 together.
+SEARCH_BOXES = (
+    (4, (1, 3, 5, 7, 9, 13, 15)),
+    (4, (1, 3, 5, 7, 9, 13, 15)),
+    (4, (1, 3, 5, 7, 15)),
+    (3, (1, 3)),
+    (3, (1, 3)),
+    (5, (1,)),
+    (5, (1,)),
+    (3, (1, 3)),
+    *((1, (1,)),) * 7,
+)
+
 # --- enumeration pipeline calibration ---
 
 # Reference targets for the three stage counts; stage 1 matches exactly,

@@ -268,6 +268,16 @@ class TestAdmissible:
         assert code == 0
         assert data["names"] == ["M_1"]
 
+    def test_duplicate_names_count_once(self, run, run_json):
+        code, data, _ = run_json("admissible", "M_1", "m1")
+        assert code == 0
+        assert data["names"] == ["M_1"]
+        code, out, _ = run("admissible", "M_1", "m1")
+        assert out.splitlines()[0] == "family: M_1 (1 members)"
+        _, data, _ = run_json("admissible", "S_2", "F", "M_1")
+        assert len(data["names"]) == 28
+        assert data["names"][:2] == ["S_2", "M_1"]  # first-seen order
+
     def test_unknown_name_is_domain_error(self, run):
         code, _, err = run("admissible", "Q_9")
         assert code == 1
@@ -373,6 +383,13 @@ class TestScan:
         assert code == 1
         assert "GF2SIGMA_SCAN_CEILING" in err
         assert "Traceback" not in err
+
+    def test_env_ceiling_below_one_names_the_variable(self, run, monkeypatch):
+        monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", "-2")
+        code, _, err = run("scan", "--max-degree", "3")
+        assert code == 1
+        assert "GF2SIGMA_SCAN_CEILING must be" in err
+        assert "max_degree" not in err
 
     def test_each_result_is_factored_once(self, run, monkeypatch):
         cli._names()  # the shared catalog, built before counting

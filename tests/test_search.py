@@ -199,6 +199,12 @@ class TestExponentFormulas:
             got = _exponents_by_division(_sigma_from_exponents(t, targets), targets)
             assert got == list(se.exponents), t
 
+    def test_too_many_exponents_rejected_by_name(self):
+        for args, name in (((1, 1, (0,) * 6), "c"), ((1, 1, (), (0,) * 9), "d")):
+            with pytest.raises(ValueError, match=f"^{name} has"):
+                ExponentTuple.from_exponents(*args)
+        assert len(ExponentTuple.from_exponents(1, 1, (0,) * 5, (0,) * 8).exponents) == 15
+
     def test_negative_exponent_rejected_by_name(self):
         for args, name in (((-1, 0), "a"), ((0, -3), "b"), ((1, 1, (0, -1)), "c_2"),
                            ((1, 1, (), (0, 0, -2)), "d_3")):
@@ -210,10 +216,9 @@ class TestExponentFormulas:
         each exponent e of its box and each shape prime Q, by long division."""
         bases = [t.mask for t in _sigma_exponent_targets(catalog)]
         system = search._sigma_system()
-        assert len(system) == len(bases) == len(search._BOXES)
+        assert len(system) == len(bases)
         pairs = 0
-        for p, vectors, box in zip(bases, system, search._BOXES):
-            assert set(vectors) == set(box)
+        for p, vectors in zip(bases, system):
             for e, packed in vectors.items():
                 sigma_pe = _geom_sum(p, e)
                 assert list(search._unpack(packed)) == [oracles.valuation(sigma_pe, q) for q in bases], (p, e)
@@ -225,9 +230,9 @@ class TestExponentFormulas:
         from a prime fixed after it, for any exponent in that prime's box."""
         runs, order = search._RUNS, search._ORDER
         assert order == [p for first, count in runs for p in range(first, first + count)]
-        assert sorted(order) == list(range(len(search._BOXES)))
-        assert runs[0] == (0, 3)  # step 1 enumerates x, x+1, M_1 itself
         system = search._sigma_system()
+        assert sorted(order) == list(range(len(system)))
+        assert runs[0] == (0, 3)  # step 1 enumerates x, x+1, M_1 itself
         for k, (first, count) in enumerate(runs[1:], 1):
             later = order[order.index(first):]
             for p in later:
@@ -237,7 +242,21 @@ class TestExponentFormulas:
     def test_packed_fields_cannot_overflow(self, catalog):
         """v_Q(sigma(A)) <= deg A, and deg A stays below 2^_W over the box."""
         degrees = [t.degree for t in _sigma_exponent_targets(catalog)]
-        assert sum(max(box) * d for box, d in zip(search._BOXES, degrees)) < 1 << search._W
+        assert sum(max(vectors) * d for vectors, d in zip(search._sigma_system(), degrees)) < 1 << search._W
+
+    def test_boxes_equal_the_frozen_boxes(self):
+        """The boxes derived from the splits and the runs, in order."""
+        boxes = [[(1 << t) * s - 1 for t in range(top + 1) for s in odds] for top, odds in expected.SEARCH_BOXES]
+        assert [list(vectors) for vectors in search._sigma_system()] == boxes
+
+    def test_s2_box_leaves_out_the_split_step_2_solves(self, catalog):
+        """sigma(S_2^2) = S_1 * S_7, and step 2 solves S_1, S_2 and S_7 in one
+        run, so S_2's box has no odd part 3: neither 2 = 3 - 1 nor 5 = 2*3 - 1."""
+        s1, s2, s7 = (catalog[name].poly.mask for name in ("S_1", "S_2", "S_7"))
+        sigma_s2_squared = 1 ^ s2 ^ oracles.mul(s2, s2)
+        assert oracles.factor_with_table(sigma_s2_squared, oracles.smallest_factor_table(12)) == [(s1, 1), (s7, 1)]
+        box = search._sigma_system()[[name for name, _ in catalog.shape].index("S_2")]
+        assert 2 not in box and 5 not in box
 
     def test_compute_rejects_invalid_tuple(self):
         with pytest.raises(ValueError):
@@ -366,6 +385,14 @@ class TestExhaustiveScan:
         with pytest.raises(ValueError):
             exhaustive_scan(12)
         assert len(exhaustive_scan(12, ceiling=12)) == 8  # explicit beats env
+
+    def test_ceiling_below_one_names_the_ceiling(self, monkeypatch):
+        with pytest.raises(ValueError, match="^ceiling must be .* at least 1, got 0") as exc:
+            exhaustive_scan(5, ceiling=0)
+        assert "max_degree" not in str(exc.value)
+        monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", "-2")
+        with pytest.raises(ValueError, match="^GF2SIGMA_SCAN_CEILING must be .* at least 1, got -2"):
+            exhaustive_scan(3)
 
     def test_non_integer_env_ceiling_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", "abc")
