@@ -444,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, required=True,
                    help=f"scan degrees 1..N (ceiling {DEFAULT_SCAN_CEILING}, "
                         f"override with {SCAN_CEILING_ENV})")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="split the search over at most N processes (capped at the cpu count); "
+                        "the sieve, nearly all of a scan, stays in one, so N > 1 is no faster")
     p.set_defaults(fn=_cmd_scan)
 
     return parser

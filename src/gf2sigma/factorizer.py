@@ -204,6 +204,10 @@ def is_squarefree(p: Poly) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# The sieve holds one byte per mask below 2^(D+1), 128 MB at D = 26; the
+# public sieve and the scan's ceiling go no higher.
+MAX_SIEVE_DEGREE = 26
+
 _WHEEL = 0b10100110  # W = x(x+1)(x^2+x+1)(x^3+x+1), degree 7
 _WHEEL_PRIMES = (0b10, 0b11, 0b111, 0b1011)
 # residue r mod W -> 1 when gcd(r, W) = 1, else 0
@@ -285,6 +289,7 @@ def _irreducible_masks(max_degree: int) -> list[int]:
 
 def irreducibles(max_degree: int) -> list[Poly]:
     """All irreducible polynomials of degree 1..max_degree, canonically ordered."""
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+    if not 1 <= max_degree <= MAX_SIEVE_DEGREE:
+        raise ValueError(f"max_degree must be at least 1 and at most {MAX_SIEVE_DEGREE} (the sieve "
+                         f"takes 2^(max_degree+1) bytes), got {max_degree}")
     return [Poly(m) for m in _irreducible_masks(max_degree)]

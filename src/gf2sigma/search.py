@@ -12,7 +12,9 @@ order can read, so no odd part or valuation is written by hand.
 `compute_sigma_exponents` sums those vectors into the exponent vector of
 sigma(A), and the pipeline solves sigma(A) = A as a fixed point of that
 system in three steps, then closes the perfect survivors under the
-x -> x+1 conjugation.
+x -> x+1 conjugation.  A pipeline row packs two vectors, the exponents A
+fixed so far and S, those of sigma of them; `_solve_run` solves every run
+off S, and the fixed points are the complete rows with A = S.
 
 The sigma tables list every sigma(base^{2h}) that factors entirely over the
 28-member catalog family; `catalog._even_sigma_splits` derives the h bound
@@ -43,11 +45,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import lshift
 from typing import Iterable
 
 from .gf2poly import Poly, _bar, _divide_out, _divmod, _mod, _mul, _popcount, _pow
-from .factorizer import Factorization, _irreducible_masks
+from .factorizer import MAX_SIEVE_DEGREE, Factorization, _irreducible_masks
 from .sigma import _geom_sum, _split_2adic
 # bench/tracing.py wraps search.build_catalog by name; the code here reads
 # the shared catalog `_catalog` and never builds one itself.
@@ -73,9 +74,8 @@ __all__ = [
 
 SCAN_CEILING_ENV = "GF2SIGMA_SCAN_CEILING"
 DEFAULT_SCAN_CEILING = 24
-# The scan sieves every irreducible up to its degree in a bytearray of
-# 2^(D+1) bytes, 128 MB at D = 26; no ceiling may go above this.
-MAX_SCAN_CEILING = 26
+# The scan sieves every irreducible up to its degree, so its ceiling is the sieve's cap.
+MAX_SCAN_CEILING = MAX_SIEVE_DEGREE
 # bench/tracing.py reads this name on every traced table call; no code here
 # does.  It equals the derived h bound of the x2h table.
 DEFAULT_H_MAX = EXPECTED_DEGREE_SUM // 2
@@ -89,9 +89,9 @@ _TOPS = (4, 4, 4, 3, 3, 5, 5, 3, *(1,) * (_SHAPE_STYPES - 1))
 # enumerates x, x+1, M_1 and solves M_2, M_3; step 2 solves S_1..S_8; step 3
 # solves M_4, M_5.  Each solved run's equations read only the primes of the
 # runs before it (tested), so its exponents are a slice of their packed sum.
-# A row holds the exponents of the primes fixed so far, in _ORDER.
+# A row is one int A << _SPAN | S: A packs the exponents fixed so far (0 for
+# the rest) and S the sum of their vectors, the exponents of sigma of them.
 _RUNS = ((0, 3), (3, 2), (7, 8), (5, 2))
-_ORDER = [p for first, count in _RUNS for p in range(first, first + count)]
 
 
 class SearchError(RuntimeError):
@@ -168,6 +168,7 @@ class ExponentTuple:
 # run of consecutive primes are one slice.  No field overflows: every entry
 # of a sum is at most v_Q(sigma(A)) <= deg A, below 2^_W over the box (tested).
 _W = 16
+_SPAN = _W * len(_TOPS)  # a pipeline row's A starts at this bit
 
 
 def _pack(exps: Iterable[int]) -> int:
@@ -270,63 +271,54 @@ def sigma_s_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
 
 
 @cache
-def _run_solutions(k: int) -> tuple[int, int, dict[int, tuple[int, ...]]]:
-    """(shift, mask, forced): forced maps each slice sum >> shift & mask that
-    lies in the boxes of _RUNS[k] to its exponents.  Built once per k; the
-    callers only read it."""
+def _run_sums(k: int) -> dict[int, int]:
+    """Map each point of the boxes of _RUNS[k], packed in place in S, to the
+    row increment that fixes it: the point in A plus the sum of its vectors
+    in S.  Built once per k; the callers only read it."""
     first, count = _RUNS[k]
-    forced = {_pack(exps): exps for exps in product(*_sigma_system()[first:first + count])}
-    return _W * first, (1 << (_W * count)) - 1, forced
+    system = _sigma_system()[first:first + count]
+    return {key: (key << _SPAN) + sum(map(dict.__getitem__, system, exps))
+            for exps in product(*system) for key in (_pack(exps) << (_W * first),)}
 
 
-def _solve_run(rows: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
-    """Extend each row by the exponents of _RUNS[k] that its equations force;
-    drop it where they leave the box."""
-    system = _sigma_system()
-    fixed = [system[p] for p in _ORDER[:_ORDER.index(_RUNS[k][0])]]
-    shift, mask, forced = _run_solutions(k)
+def _solve_run(rows: Iterable[int], k: int) -> list[int]:
+    """Extend each row by the exponents of _RUNS[k] that its equations force,
+    S's fields there; drop it where they leave the box."""
+    first, count = _RUNS[k]
+    mask = ((1 << (_W * count)) - 1) << (_W * first)
+    sums = _run_sums(k)
     out = []
     for row in rows:
-        exps = forced.get(sum(map(dict.__getitem__, fixed, row)) >> shift & mask)
-        if exps is not None:
-            out.append(row + exps)
+        v = sums.get(row & mask)
+        if v is not None:
+            out.append(row + v)
     return out
 
 
-def pipeline_step1() -> list[tuple[int, ...]]:
-    """Exponents (a, b, c_1, c_2, c_3) with 1 <= a <= b and c_2, c_3 solved."""
-    vx, vx1, vm1 = _sigma_system()[:3]  # _RUNS[0]
-    shift, mask, forced = _run_solutions(1)
-    out = []
-    for a, va in vx.items():
-        for b, vb in vx1.items():
-            if 1 <= a <= b:
-                for c1, vc in vm1.items():
-                    exps = forced.get((va + vb + vc) >> shift & mask)
-                    if exps is not None:
-                        out.append((a, b, c1, *exps))
-    return out
+def pipeline_step1() -> list[int]:
+    """Rows with a, b, c_1 enumerated, 1 <= a <= b, and c_2, c_3 solved."""
+    vx, vx1, vm1 = _sigma_system()[:3]  # _RUNS[0], A = _pack((a, b, c))
+    return _solve_run((((a | b << _W | c << 2 * _W) << _SPAN) + va + vb + vc for a, va in vx.items()
+                       for b, vb in vx1.items() if 1 <= a <= b for c, vc in vm1.items()), 1)
 
 
-def pipeline_step2(step1: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def pipeline_step2(step1: list[int]) -> list[int]:
     """Extend each step-1 row by d_1..d_8 solved."""
     return _solve_run(step1, 2)
 
 
-def pipeline_step3(step2: list[tuple[int, ...]]) -> list[tuple[ExponentTuple, Poly]]:
-    """Extend each step-2 row by c_4, c_5 solved and keep the fixed points.
+def pipeline_step3(step2: list[int]) -> list[tuple[ExponentTuple, Poly]]:
+    """Extend each step-2 row by c_4, c_5 solved and keep the fixed points A = S.
 
-    A row is kept when sigma(A) and A have the same exponent at every shape
-    prime; that checks the equations of M_1, x and x+1, which no step solves.
+    Every prime is fixed by then, so A = S checks the equations of M_1, x
+    and x+1 too, which no step solves.
     """
     cat = _catalog()
-    system = _sigma_system()
-    vectors = [system[p] for p in _ORDER]
-    shifts = [_W * p for p in _ORDER]
     out = []
     for row in _solve_run(step2, 3):
-        if sum(map(dict.__getitem__, vectors, row)) == sum(map(lshift, row, shifts)):
-            t = ExponentTuple(tuple(e for _, e in sorted(zip(_ORDER, row))))
+        a, s = divmod(row, 1 << _SPAN)
+        if a == s:
+            t = ExponentTuple(_unpack(a))
             out.append((t, Poly(_shape_mask(_pow, t.exponents, cat.shape))))
     return out
 
@@ -479,13 +471,14 @@ def _scan_node(primes: list[int], idx: int, a: int, r: int, w: list[tuple[int, i
 
 
 def _scan_children(primes: list[int], i0: int, a: int, r: int, w: list[tuple[int, int]], budget: int,
-                   half: int, out: list[int]) -> None:
+                   half: int, out: list, visit=_scan_node) -> None:
     """Visit a * p^e for each primes[i0:] p and e that the rules allow.
 
     (r, w) is a's deficit pair, deg r = deg w.  p is the smallest prime of
     the rest, so it has degree at most deg r when r != 1, and no prime after
     the first one dividing r can be it.  The child's deg r' is tested before
-    its pair is formed.
+    its pair is formed.  visit gets each child's node state; the pool path
+    collects the root's children with it as tasks.
     """
     dr = r.bit_length() - 1
     cap = min(budget, half)  # e * deg p <= cap: the budget and the half-degree rule
@@ -516,7 +509,7 @@ def _scan_children(primes: list[int], i0: int, a: int, r: int, w: list[tuple[int
                 continue
             if e > v:
                 left.append((p, e - v))
-            _scan_node(primes, idx, _mul(a, _pow(p, e)), _mul(rest, s1), left, budget - e * dp, half, out)
+            visit(primes, idx, _mul(a, _pow(p, e)), _mul(rest, s1), left, budget - e * dp, half, out)
         if v:
             break
 
@@ -526,12 +519,9 @@ def _scan_task_init(primes: list[int]) -> None:
     _SCAN_PRIMES = primes
 
 
-def _scan_task(args: tuple[int, int, int]) -> list[int]:
-    idx, e, max_degree = args
-    p = _SCAN_PRIMES[idx]
+def _scan_task(task: tuple) -> list[int]:
     out: list[int] = []
-    _scan_node(_SCAN_PRIMES, idx, _pow(p, e), _geom_sum(p, e), [(p, e)],
-               max_degree - (p.bit_length() - 1) * e, max_degree // 2, out)
+    _scan_node(_SCAN_PRIMES, *task, out)
     return out
 
 
@@ -605,8 +595,8 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = 
     The ceiling defaults to 24 and may be overridden with the
     GF2SIGMA_SCAN_CEILING environment variable or ceiling=, up to
     MAX_SCAN_CEILING.  workers is capped at os.cpu_count(); above 1, each
-    top-level (prime, exponent) pair that the odd-exponent rule allows is
-    one pool task.
+    child of the root is one pool task, so the pool splits only the DFS and
+    the sieve runs in this process.
     """
     ceiling = _scan_ceiling(ceiling)
     if not 1 <= max_degree <= ceiling:
@@ -622,9 +612,8 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = 
         _scan_children(primes, 0, 1, 1, [], max_degree, half, found)
     else:
         import multiprocessing  # only the pool path pays for this import
-        tasks = [(idx, e, max_degree) for idx, p in enumerate(primes)
-                 for step in (_exponent_step(1, idx),)
-                 for e in range(step, half // (p.bit_length() - 1) + 1, step)]
+        tasks: list[tuple] = []  # each child of the root is a task: its node state but primes and out
+        _scan_children(primes, 0, 1, 1, [], max_degree, half, tasks, lambda _, *node: tasks.append(node[:-1]))
         with multiprocessing.Pool(workers, initializer=_scan_task_init, initargs=(primes,)) as pool:
             for chunk in pool.imap_unordered(_scan_task, tasks):
                 found.extend(chunk)

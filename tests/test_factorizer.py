@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from gf2sigma import factorizer
+from gf2sigma import factorizer, search
 from gf2sigma.factorizer import (
     _irreducible_masks,
     factor,
@@ -94,6 +94,18 @@ def test_sieve_to_degree_20():
     verdicts = [is_irreducible(Poly(m)) for m in sample]
     assert verdicts == [m in prime_set for m in sample]
     assert verdicts.count(False) > 300
+
+
+def test_sieve_refuses_degrees_above_its_cap(monkeypatch):
+    """Refused before the 2^(D+1)-byte sieve starts; the scan's ceiling reads the same cap."""
+    assert factorizer.MAX_SIEVE_DEGREE == search.MAX_SCAN_CEILING == 26
+
+    def no_sieve(max_degree):
+        raise AssertionError("sieve started")
+
+    monkeypatch.setattr(factorizer, "_irreducible_masks", no_sieve)
+    with pytest.raises(ValueError, match="at most 26"):
+        irreducibles(27)
 
 
 def test_sieve_output_sorted_and_irreducible():

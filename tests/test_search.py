@@ -228,8 +228,8 @@ class TestExponentFormulas:
     def test_steps_read_only_fixed_primes(self, catalog):
         """The runs cover the shape once, and a run's equations have no term
         from a prime fixed after it, for any exponent in that prime's box."""
-        runs, order = search._RUNS, search._ORDER
-        assert order == [p for first, count in runs for p in range(first, first + count)]
+        runs = search._RUNS
+        order = [p for first, count in runs for p in range(first, first + count)]
         system = search._sigma_system()
         assert sorted(order) == list(range(len(system)))
         assert runs[0] == (0, 3)  # step 1 enumerates x, x+1, M_1 itself
@@ -312,6 +312,19 @@ class TestPipeline:
         for t in dropped:
             assert not any(t.c) and not any(t.d)
             assert t.a == t.b and t.a in (1, 3, 7, 15)
+
+    def test_rows_pack_exponents_and_their_sigma(self):
+        """Each row A << _SPAN | S of steps 1 and 2 packs the fixed exponents A
+        and the exponents S of sigma of them; S agrees with A on every solved run."""
+        s1 = pipeline_step1()
+        s2 = pipeline_step2(s1)
+        for step, rows in ((1, s1), (2, s2)):
+            solved = [p for first, count in search._RUNS[1:step + 1] for p in range(first, first + count)]
+            for row in rows:
+                exps, sigma_exps = (search._unpack(half) for half in divmod(row, 1 << search._SPAN))
+                assert compute_sigma_exponents(ExponentTuple(exps)) == ExponentTuple(sigma_exps)
+                assert [exps[p] for p in solved] == [sigma_exps[p] for p in solved]
+                assert 1 <= exps[0] <= exps[1]
 
     def test_step_counts_recomputed_from_stages(self):
         s1 = pipeline_step1()
@@ -462,7 +475,10 @@ class TestScanPruning:
         assert got == oracles.reference_perfect_scan(max_degree)
 
     def test_workers_equal_reference_scan(self):
-        assert [p.mask for p in exhaustive_scan(16, workers=2)] == oracles.reference_perfect_scan(16)
+        """The pool's tasks are the root's children (none at D = 1)."""
+        for max_degree in (1, 2, 7, 16):
+            got = [p.mask for p in exhaustive_scan(max_degree, workers=2)]
+            assert got == oracles.reference_perfect_scan(max_degree), max_degree
 
     def test_rules_accept_every_prefix_of_the_known_perfects(self, t_polys):
         """Walk each perfect A of degree <= 20 in the scan's prime order.  Every
