@@ -6,6 +6,12 @@ is shift-and-XOR over the set bits of the sparser operand, and squaring just
 spreads the bits apart.  The zero polynomial is the int 0 and its degree is
 the sentinel -1.
 
+Polynomial text has one grammar, read by :func:`parse` (alias
+:func:`parse_expr`): sums, products and powers, as in "(x+1)^2*x+1", of the
+atoms 0, 1, x, hex masks such as 0x13 and parenthesized expressions.
+Whitespace may separate tokens but not split one, so "x^3 7" is an error.
+Both printed forms, str(p) and p.to_hex(), parse back to p.
+
 The public surface is the immutable :class:`Poly` wrapper plus a few module
 functions; the underscore-prefixed int-level helpers are shared with the
 sibling modules, which run their hot loops on raw masks.
@@ -17,17 +23,16 @@ import re
 
 __all__ = ["Poly", "ParseError", "gcd", "parse", "parse_expr", "X", "ONE", "ZERO"]
 
-# Largest degree a '^' power, a '*' product or an 'x^k' term may reach in
-# parsed text.  Text such as "x^1000000000" is short but its polynomial is
-# not, so the parsers check degrees before computing.
+# Largest degree a '^' power, a '*' product, an 'x^k' term or a hex mask may
+# reach in parsed text.  Text such as "x^1000000000" is short but its
+# polynomial is not, so the parser checks degrees before computing.
 MAX_PARSE_DEGREE = 1 << 16
 
-# Deepest parenthesis nesting that parse_expr accepts.  Its recursive descent
+# Deepest parenthesis nesting that parse accepts.  Its recursive descent
 # takes four stack frames per '(', so this stays far below the recursion limit.
 _MAX_PARSE_NESTING = 100
 
-# int.bit_count needs 3.11; fall back to counting the binary string on 3.10
-_popcount = getattr(int, "bit_count", None) or (lambda m: bin(m).count("1"))
+_popcount = int.bit_count  # Python 3.10+
 
 
 class ParseError(ValueError):
@@ -182,58 +187,23 @@ def _parse_exponent(digits: str, text: str, pos: int) -> int:
     return int(digits)
 
 
-_TERM_RE = re.compile(r"^(?:0|1|x(?:\^(\d+))?)$")
-_HEX_RE = re.compile(r"^0[xX][0-9a-fA-F]+$")
+def _quote_token(tok: str) -> str:
+    """repr(tok) cut to 20 characters, so a message quoting a long digit run
+    stays short; ParseError already quotes the text around the token."""
+    return repr(tok) if len(tok) <= 20 else f"{tok[:20]!r}..."
 
 
-def _parse_mask(text: str) -> int:
-    """Strict grammar: '+'-separated terms from {1, x, x^k}, or a 0x... mask."""
-    stripped = text.strip()
-    if not stripped:
-        raise ParseError("empty polynomial", text, 0)
-    if stripped[:2] in ("0x", "0X"):
-        pos = text.find(stripped[:2])
-        if not _HEX_RE.match(stripped):
-            raise ParseError("malformed hex mask", text, pos)
-        mask = int(stripped, 16)
-        _check_degree(mask.bit_length() - 1, text, pos)
-        return mask
-    mask = 0
-    pos = 0
-    for chunk in text.split("+"):
-        term = "".join(chunk.split())  # whitespace is ignored, even inside a term
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ParseError(f"malformed term {term!r}", text, pos + len(chunk) - len(chunk.lstrip()))
-        if term == "0":
-            pass  # zero term contributes nothing; lets the printer's "0" re-parse
-        elif term == "1":
-            mask ^= 1  # repeated terms cancel mod 2
-        elif m.group(1) is None:
-            mask ^= 2
-        else:
-            start = pos + len(chunk) - len(chunk.lstrip())
-            k = _parse_exponent(m.group(1), text, start)
-            _check_degree(k, text, start)
-            mask ^= 1 << k
-        pos += len(chunk) + 1
-    return mask
-
-
-_EXPR_TOKEN_RE = re.compile(r"\s*(0[xX][0-9a-fA-F]+|\d+|x|[-+*^()])")
+# A token, or in group 2 the first character that starts none; every
+# non-space character is matched, so the matches cover the text.
+_EXPR_TOKEN_RE = re.compile(r"\s*(?:(0[xX][0-9a-fA-F]+|\d+|x|[-+*^()])|(\S))")
 
 
 def _tokenize_expr(text: str) -> list[tuple[str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _EXPR_TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError("unexpected character", text, pos + len(text[pos:]) - len(text[pos:].lstrip()))
-            break
+    for m in _EXPR_TOKEN_RE.finditer(text):
+        if m.group(2):
+            raise ParseError("unexpected character", text, m.start(2))
         tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
     return tokens
 
 
@@ -261,7 +231,7 @@ class _ExprParser:
             raise ParseError("empty polynomial", self.text, 0)
         mask = self.expr()
         if self.i < len(self.tokens):
-            raise ParseError(f"unexpected token {self.peek()!r}", self.text, self.tokens[self.i][1])
+            raise ParseError(f"unexpected token {_quote_token(self.peek())}", self.text, self.tokens[self.i][1])
         return mask
 
     def expr(self) -> int:
@@ -286,10 +256,10 @@ class _ExprParser:
             self.next()
             tok, pos = self.next()
             if not tok.isdigit():
-                raise ParseError(f"exponent must be a nonnegative integer, got {tok!r}", self.text, pos)
+                raise ParseError(f"exponent must be a nonnegative integer, got {_quote_token(tok)}", self.text, pos)
             k = _parse_exponent(tok, self.text, pos)
             _check_degree((mask.bit_length() - 1) * k, self.text, pos)
-            mask = _pow(mask, k)
+            mask = 1 << k if mask == 2 else _pow(mask, k)
         return mask
 
     def atom(self) -> int:
@@ -301,7 +271,7 @@ class _ExprParser:
             mask = self.expr()
             tok2, pos2 = self.next()
             if tok2 != ")":
-                raise ParseError(f"expected ')', got {tok2!r}", self.text, pos2)
+                raise ParseError(f"expected ')', got {_quote_token(tok2)}", self.text, pos2)
             self.depth -= 1
             return mask
         if tok == "x":
@@ -314,7 +284,7 @@ class _ExprParser:
             return 0
         if tok == "1":
             return 1
-        raise ParseError(f"unexpected token {tok!r}", self.text, pos)
+        raise ParseError(f"unexpected token {_quote_token(tok)}", self.text, pos)
 
 
 def _format_mask(mask: int) -> str:
@@ -358,13 +328,11 @@ class Poly:
 
     @classmethod
     def parse(cls, text: str) -> "Poly":
-        """Parse a '+'-separated sum of terms {1, x, x^k} or a 0x... mask."""
-        return cls(_parse_mask(text))
-
-    @classmethod
-    def parse_expr(cls, text: str) -> "Poly":
-        """Parse the extended grammar with '*', '^' and parenthesized atoms."""
+        """Parse polynomial text: sums, products and powers of 0, 1, x, hex
+        masks and parenthesized expressions (grammar in the module docstring)."""
         return cls(_ExprParser(text).parse())
+
+    parse_expr = parse  # one parser; both names are public API
 
     # -- ring operations ---------------------------------------------------
 
@@ -449,9 +417,7 @@ def parse(text: str) -> Poly:
     return Poly.parse(text)
 
 
-def parse_expr(text: str) -> Poly:
-    """Module-level alias of :meth:`Poly.parse_expr`."""
-    return Poly.parse_expr(text)
+parse_expr = parse  # one parser; both names are public API
 
 
 ZERO = Poly(0)

@@ -90,7 +90,7 @@ class TestFactor:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("text", ["0x" + "f" * 20000, "(" * 250 + "x" + ")" * 250])
+    @pytest.mark.parametrize("text", ["0x" + "f" * 20000, "(" * 250 + "x" + ")" * 250, "x+" + "2" * 100_000])
     def test_oversized_input_is_domain_error(self, run, text):
         code, _, err = run("factor", text)
         assert code == 1

@@ -1,4 +1,4 @@
-"""Seeded fuzz of the parsers and of the CLI exit-code contract.
+"""Seeded fuzz of the parser and of the CLI exit-code contract.
 
 Random and adversarial text must parse to a Poly or raise ParseError, and
 `cli.main` on random argv must return 0, 1 or 2 without letting an exception
@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from gf2sigma.cli import main
-from gf2sigma.gf2poly import ParseError, Poly, parse, parse_expr
+from gf2sigma.gf2poly import ParseError, Poly, parse
 
 SEED = 20240229
 MAX_DEGREE = 64  # of the polynomials handed to the CLI
@@ -70,21 +68,21 @@ def _random_text(rng: random.Random) -> str:
     return _adversarial_text(rng)
 
 
-@pytest.mark.parametrize("fn", [parse, parse_expr])
-def test_parser_returns_poly_or_parse_error(fn):
+def test_parser_returns_poly_or_parse_error():
     rng = random.Random(SEED)
     parsed = 0
     for _ in range(600):
         text = _random_text(rng)
         try:
-            p = fn(text)
+            p = parse(text)
         except ParseError as exc:
             assert 0 <= exc.pos <= len(text)
             continue
         assert isinstance(p, Poly)
         parsed += 1
         if p.degree <= MAX_DEGREE:
-            assert parse(str(p)) == p  # the printer writes the strict grammar
+            assert parse(str(p)) == p
+            assert parse(p.to_hex()) == p
     assert 0 < parsed < 600
 
 
@@ -93,7 +91,7 @@ def _small_poly_text(rng: random.Random) -> str:
     while True:
         text = _random_text(rng)
         try:
-            if parse_expr(text).degree > MAX_DEGREE:
+            if parse(text).degree > MAX_DEGREE:
                 continue
         except ParseError:
             pass

@@ -99,7 +99,15 @@ class TestParsePrint:
         assert isinstance(ei.value, ValueError)
         assert ei.value.pos >= 0
         assert ei.value.text == "x^2+zzz"
-        assert str(ei.value) == "malformed term 'zzz' at position 4 in 'x^2+zzz'"
+        assert str(ei.value) == "unexpected character at position 4 in 'x^2+zzz'"
+
+    def test_whitespace_does_not_join_digits(self):
+        """Whitespace separates tokens, so a split exponent is an error at the
+        second digit run rather than x^37 or x^28."""
+        for text in ["x^3 7", "x^2\t8"]:
+            with pytest.raises(ParseError) as ei:
+                parse(text)
+            assert ei.value.pos == 4
 
     def test_parse_error_clips_long_text(self):
         """Text over 80 characters is quoted as an excerpt around pos."""
@@ -108,6 +116,14 @@ class TestParsePrint:
             parse_expr(text)
         assert (ei.value.text, ei.value.pos) == (text, 100)
         assert str(ei.value) == f"unexpected character at position 100 in ...{text[70:130]!r}..."
+
+    def test_parse_error_clips_long_token(self):
+        """A message that quotes a 100,000-character token stays short."""
+        digits = "2" * 100_000
+        for text in ["x+" + digits, "x^0x" + "f" * 100_000, "(x " + digits, digits]:
+            with pytest.raises(ParseError) as ei:
+                parse(text)
+            assert len(str(ei.value)) < 200, text[:10]
 
     def test_degree_limit(self):
         """Powers, products and x^k terms above degree 2^16 are rejected."""
@@ -122,10 +138,10 @@ class TestParsePrint:
     def test_overlong_exponent_is_parse_error(self):
         """An exponent longer than any allowed degree is refused before int(),
         which past 4300 digits raises a plain ValueError."""
-        for fn, text, pos in [(parse, "x^" + "1" * 5000, 0),
+        for fn, text, pos in [(parse, "x^" + "1" * 5000, 2),
                               (parse_expr, "x^" + "1" * 5000, 2),
                               (parse_expr, "(x+1)^" + "1" * 5000, 6),
-                              (parse, "1+x^123456", 2)]:
+                              (parse, "1+x^123456", 4)]:
             with pytest.raises(ParseError) as ei:
                 fn(text)
             assert ei.value.pos == pos
