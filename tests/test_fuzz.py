@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from gf2sigma.cli import main
-from gf2sigma.gf2poly import ParseError, Poly, parse
+from gf2sigma.gf2poly import ParseError, Poly, parse, parse_expr
 
 SEED = 20240229
 MAX_DEGREE = 64  # of the polynomials handed to the CLI
@@ -68,13 +70,14 @@ def _random_text(rng: random.Random) -> str:
     return _adversarial_text(rng)
 
 
-def test_parser_returns_poly_or_parse_error():
+@pytest.mark.parametrize("fn", [parse, parse_expr], ids=["parse", "parse_expr"])
+def test_parser_returns_poly_or_parse_error(fn):
     rng = random.Random(SEED)
     parsed = 0
     for _ in range(600):
         text = _random_text(rng)
         try:
-            p = parse(text)
+            p = fn(text)
         except ParseError as exc:
             assert 0 <= exc.pos <= len(text)
             continue
