@@ -14,6 +14,7 @@ and results are always sorted by (degree, mask).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -204,8 +205,11 @@ def is_squarefree(p: Poly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# The sieve holds one byte per mask below 2^(D+1), 128 MB at D = 26; the
-# public sieve and the scan's ceiling go no higher.
+# The public sieve and the scan's ceiling go no higher.  At D = 26 the sieve
+# lists 5,387,991 primes in about 6 s (2-core machine, CPython 3.11) and raises
+# the peak RSS by about 365 MB: the output list (about 36 bytes per prime) and
+# the 128 MB bytearray of flags.
+# Past 31 the sieve's products would overflow their 32-bit lanes.
 MAX_SIEVE_DEGREE = 26
 
 _WHEEL = 0b10100110  # W = x(x+1)(x^2+x+1)(x^3+x+1), degree 7
@@ -237,11 +241,18 @@ def _irreducible_masks(max_degree: int) -> list[int]:
       x = 1, which is multiplicative, and c(1) = 1.  So marking p*s for
       every prime p from x^3+x^2+1 to degree D/2 (the sieve to D//2) and
       every odd s of odd weight with deg p <= deg s <= D - deg p clears every
-      composite left by the wheel.  The products p*s are grown level by
-      level in two lists split by the weight parity of s; adding x^t to s
-      flips it, so level t = deg s marks (p << t) ^ w for w in the
-      even-parity list.
+      composite left by the wheel.  The products p*s for the odd s < 2^t
+      are grown level by level, split by the weight parity of s; adding x^t
+      to s flips it, so level t = deg s marks (p << t) ^ w for w in the
+      even-parity products.
     - No prime is marked: each mark p*s has two factors of degree >= 3.
+
+    Each parity class is one int with a 32-bit lane per product, so a level
+    is one XOR with (p << t) * ones, where ones has a 1 in every lane, and
+    its marks are read back as a native "I" array.  A product has degree at
+    most D, so it fits its lane without carries into the next one as long
+    as D < 32; irreducibles and exhaustive_scan, the ways in, refuse D above
+    MAX_SIEVE_DEGREE = 26.
     """
     if max_degree < 1:
         return []
@@ -261,27 +272,20 @@ def _irreducible_masks(max_degree: int) -> list[int]:
     for p in _irreducible_masks(max_degree // 2)[len(_WHEEL_PRIMES):]:
         dp = p.bit_length() - 1
         last = max_degree - dp
-        even, odd = [], [p]  # p*s for odd s < 2^t, by the weight parity of s
-        for t in range(1, last - 1):
-            top = p << t
-            level = list(map(top.__xor__, even))  # deg s = t, s of odd weight
+        # p*s for the odd s < 2^t by weight parity, one 32-bit lane per product
+        even, odd, ones, n = p ^ p << 1, p, 1, 1  # s = x+1 and s = 1: t = 2
+        for t in range(2, last + 1):
+            top = (p << t) * ones
+            level = even ^ top  # deg s = t, s of odd weight
             if t >= dp:
-                for m in level:
+                for m in memoryview(level.to_bytes(4 * n, sys.byteorder)).cast("I"):
                     cand[m] = 0
-            even += map(top.__xor__, odd)
-            odd += level
-        # the last two levels come straight from the lists for s < 2^(last-1):
-        # s + x^(last-1) and s + x^last for s of even weight, and
-        # s + x^(last-1) + x^last for s of odd weight
-        below, top = p << (last - 1), p << last
-        if last - 1 >= dp:
-            for w in even:
-                cand[below ^ w] = 0
-        for w in even:
-            cand[top ^ w] = 0
-        top ^= below
-        for w in odd:
-            cand[top ^ w] = 0
+            if t < last:
+                shift = 32 * n
+                even |= (odd ^ top) << shift
+                odd |= level << shift
+                ones |= ones << shift
+                n *= 2
     out = [q for q in _WHEEL_PRIMES if q < len(cand)]
     out += map(re.Match.start, re.finditer(b"\x01", cand))
     return out
@@ -290,6 +294,6 @@ def _irreducible_masks(max_degree: int) -> list[int]:
 def irreducibles(max_degree: int) -> list[Poly]:
     """All irreducible polynomials of degree 1..max_degree, canonically ordered."""
     if not 1 <= max_degree <= MAX_SIEVE_DEGREE:
-        raise ValueError(f"max_degree must be at least 1 and at most {MAX_SIEVE_DEGREE} (the sieve "
-                         f"takes 2^(max_degree+1) bytes), got {max_degree}")
+        raise ValueError(f"max_degree must be at least 1 and at most {MAX_SIEVE_DEGREE} "
+                         f"(factorizer.MAX_SIEVE_DEGREE), got {max_degree}")
     return [Poly(m) for m in _irreducible_masks(max_degree)]

@@ -199,11 +199,10 @@ _EXPR_TOKEN_RE = re.compile(r"\s*(?:(0[xX][0-9a-fA-F]+|\d+|x|[-+*^()])|(\S))")
 
 
 def _tokenize_expr(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    for m in _EXPR_TOKEN_RE.finditer(text):
-        if m.group(2):
-            raise ParseError("unexpected character", text, m.start(2))
-        tokens.append((m.group(1), m.start(1)))
+    tokens = [(m[1], m.start(1)) for m in _EXPR_TOKEN_RE.finditer(text)]
+    if (None, -1) in tokens:  # a character that starts no token
+        pos = next(m.start(2) for m in _EXPR_TOKEN_RE.finditer(text) if m[2])
+        raise ParseError("unexpected character", text, pos)
     return tokens
 
 
@@ -213,38 +212,42 @@ class _ExprParser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize_expr(text)
+        self.tokens.append((None, len(text)))  # the end of input
         self.i = 0
         self.depth = 0  # parentheses open at the current token
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
     def next(self) -> tuple[str, int]:
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input", self.text, len(self.text))
         tok = self.tokens[self.i]
+        if tok[0] is None:
+            raise ParseError("unexpected end of input", self.text, len(self.text))
         self.i += 1
         return tok
 
     def parse(self) -> int:
-        if not self.tokens:
+        if len(self.tokens) == 1:
             raise ParseError("empty polynomial", self.text, 0)
         mask = self.expr()
-        if self.i < len(self.tokens):
-            raise ParseError(f"unexpected token {_quote_token(self.peek())}", self.text, self.tokens[self.i][1])
+        tok, pos = self.tokens[self.i]
+        if tok is not None:
+            raise ParseError(f"unexpected token {_quote_token(tok)}", self.text, pos)
         return mask
 
+    # expr, term and factor read self.tokens directly, stopped by the end
+    # marker: a printed degree-256 polynomial is about 500 tokens
     def expr(self) -> int:
+        tokens = self.tokens
         mask = self.term()
-        while self.peek() == "+":
-            self.next()
+        while tokens[self.i][0] == "+":
+            self.i += 1
             mask ^= self.term()
         return mask
 
     def term(self) -> int:
+        tokens = self.tokens
         mask = self.factor()
-        while self.peek() == "*":
-            _, pos = self.next()
+        while tokens[self.i][0] == "*":
+            pos = tokens[self.i][1]
+            self.i += 1
             other = self.factor()
             _check_degree(mask.bit_length() - 1 + other.bit_length() - 1, self.text, pos)
             mask = _mul(mask, other)
@@ -252,8 +255,8 @@ class _ExprParser:
 
     def factor(self) -> int:
         mask = self.atom()
-        if self.peek() == "^":
-            self.next()
+        if self.tokens[self.i][0] == "^":
+            self.i += 1
             tok, pos = self.next()
             if not tok.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer, got {_quote_token(tok)}", self.text, pos)

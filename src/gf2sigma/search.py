@@ -536,8 +536,8 @@ def _scan_ceiling(ceiling: int | None) -> int:
         except ValueError:
             raise ValueError(f"{SCAN_CEILING_ENV} must be an integer, got {raw!r}") from None
     if not 1 <= ceiling <= MAX_SCAN_CEILING:
-        raise ValueError(f"{name} must be at most {MAX_SCAN_CEILING} (the scan sieve takes "
-                         f"2^(ceiling+1) bytes) and at least 1, got {ceiling}")
+        raise ValueError(f"{name} must be at most {MAX_SCAN_CEILING} (search.MAX_SCAN_CEILING) "
+                         f"and at least 1, got {ceiling}")
     return ceiling
 
 
