@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -206,32 +207,34 @@ def is_squarefree(p: Poly) -> bool:
 
 
 # The public sieve and the scan's ceiling go no higher.  At D = 26 the sieve
-# lists 5,387,991 primes in about 6 s (2-core machine, CPython 3.11) and raises
-# the peak RSS by about 365 MB: the output list (about 36 bytes per prime) and
-# the 128 MB bytearray of flags.
+# lists 5,387,991 primes in 5.6-6.6 s (2-core machine, CPython 3.11) and raises
+# the peak RSS by about 137 MB.
 # Past 31 the sieve's products would overflow their 32-bit lanes.
 MAX_SIEVE_DEGREE = 26
 
 _WHEEL = 0b10100110  # W = x(x+1)(x^2+x+1)(x^3+x+1), degree 7
 _WHEEL_PRIMES = (0b10, 0b11, 0b111, 0b1011)
-# residue r mod W -> 1 when gcd(r, W) = 1, else 0
-_WHEEL_UNIT = bytes(_gcd(r, _WHEEL) == 1 for r in range(128)).ljust(256, b"\x00")
+# residue r of i mod W -> 1 when x*r + 1 is coprime to W, else 0
+_ODD_UNIT = bytes(_gcd(r << 1 | 1, _WHEEL) == 1 for r in range(128)).ljust(256, b"\x00")
+_CHUNK = 1 << 16  # bytes of the result turned from indices into masks at a time
 
 
-def _irreducible_masks(max_degree: int) -> list[int]:
+def _irreducible_masks(max_degree: int) -> array:
     """All irreducible masks of degree 1..max_degree in (degree, mask) order.
 
-    A sieve over cand[m], m < 2^(D+1) with D = max_degree.  Soundness:
+    A sieve over cand[i], i < 2^D with D = max_degree, where index i stands
+    for the odd mask 2i+1 = x*i + 1: x is the only even prime, and it is a
+    wheel prime.  Soundness:
 
-    - Wheel.  cand starts set exactly at the masks m with gcd(m, W) = 1 for
+    - Wheel.  cand starts set exactly at the i with gcd(x*i + 1, W) = 1 for
       W = x(x+1)(x^2+x+1)(x^3+x+1), the product of the primes x, x+1, 7 and
-      11 (as masks).  gcd(m, W) = gcd(m mod W, W), and m mod W is built for
-      every m by doubling: the masks below 2^(k+1) are those below 2^k, then
-      the same with x^k added, whose residues are r xor (x^k mod W).  Each
-      level is one 256-byte `translate` table; the last one maps straight to
-      the coprimality flag, so no full-size residue array is built.
-    - The constant 1 is cleared; the wheel primes, which divide W, are
-      prepended to the survivors.
+      11 (as masks).  x*i + 1 = x*(i mod W) + 1 (mod W), and i mod W is
+      built for every i by doubling: the i below 2^(k+1) are those below
+      2^k, then the same with x^k added, whose residues are r xor
+      (x^k mod W).  Each level is one 256-byte `translate` table, and one
+      final `translate` maps each residue r to the coprimality of x*r + 1.
+    - The constant 1 (i = 0) is cleared; the wheel primes, which divide W,
+      are prepended to the survivors.
     - Every composite c (deg c <= D) coprime to W has a prime factor p of
       least degree with 3 <= deg p <= D/2: deg p <= deg c / 2 because every
       prime factor of the cofactor s = c/p has degree >= deg p, and deg p >= 3
@@ -248,27 +251,33 @@ def _irreducible_masks(max_degree: int) -> list[int]:
     - No prime is marked: each mark p*s has two factors of degree >= 3.
 
     Each parity class is one int with a 32-bit lane per product, so a level
-    is one XOR with (p << t) * ones, where ones has a 1 in every lane, and
-    its marks are read back as a native "I" array.  A product has degree at
-    most D, so it fits its lane without carries into the next one as long
-    as D < 32; irreducibles and exhaustive_scan, the ways in, refuse D above
-    MAX_SIEVE_DEGREE = 26.
+    is one XOR with (p << t) * ones, where ones has a 1 in every lane.  A
+    product has degree at most D, so it fits its lane without carries into
+    the next one as long as D < 32; irreducibles and exhaustive_scan, the
+    ways in, refuse D above MAX_SIEVE_DEGREE = 26.  Every product p*s is
+    odd, so level ^ ones clears bit 0 of each lane, and the shift right by
+    one moves only that cleared bit out of a lane: each lane of
+    (level ^ ones) >> 1 holds the index (p*s - 1) / 2, read back as a
+    native "I" array.
+
+    The result is an array("I") of masks.  The survivors' indices i < 2^31
+    are collected into it, then turned into 2i+1 a chunk at a time as one
+    int per chunk, shifted left by one and ORed with a 1 in every lane; as
+    above, the shift carries no bit into the next lane.
     """
     if max_degree < 1:
-        return []
-    res = bytearray(1)  # res[m] = m mod W for the masks m < 2^k
+        return array("I")
+    out = array("I", [q for q in _WHEEL_PRIMES if q < 2 << max_degree])
+    res = bytearray(1)  # res[i] = i mod W for the i < 2^k
     xk = 1  # x^k mod W
     for _ in range(max_degree):
         res += res.translate(bytes(r ^ xk for r in range(256)))
         xk <<= 1
         if xk >> 7:
             xk ^= _WHEEL
-    top = res.translate(bytes(_WHEEL_UNIT[r ^ xk] for r in range(256)))
-    cand = res.translate(_WHEEL_UNIT)
+    cand = res.translate(_ODD_UNIT)
     del res
-    cand += top
-    del top
-    cand[1] = 0  # the constant 1
+    cand[0] = 0  # the constant 1
     for p in _irreducible_masks(max_degree // 2)[len(_WHEEL_PRIMES):]:
         dp = p.bit_length() - 1
         last = max_degree - dp
@@ -278,16 +287,22 @@ def _irreducible_masks(max_degree: int) -> list[int]:
             top = (p << t) * ones
             level = even ^ top  # deg s = t, s of odd weight
             if t >= dp:
-                for m in memoryview(level.to_bytes(4 * n, sys.byteorder)).cast("I"):
-                    cand[m] = 0
+                for i in memoryview(((level ^ ones) >> 1).to_bytes(4 * n, sys.byteorder)).cast("I"):
+                    cand[i] = 0
             if t < last:
                 shift = 32 * n
                 even |= (odd ^ top) << shift
                 odd |= level << shift
                 ones |= ones << shift
                 n *= 2
-    out = [q for q in _WHEEL_PRIMES if q < len(cand)]
-    out += map(re.Match.start, re.finditer(b"\x01", cand))
+    wheel = 4 * len(out)  # bytes of the wheel primes, which are masks already
+    out.extend(map(re.Match.start, re.finditer(b"\x01", cand)))
+    del cand
+    lanes = memoryview(out).cast("B")
+    for k in range(wheel, len(lanes), _CHUNK):
+        part = lanes[k:k + _CHUNK]
+        ones = int.from_bytes(b"\x01\x00\x00\x00" * (len(part) // 4), "little")
+        part[:] = (int.from_bytes(part, sys.byteorder) << 1 | ones).to_bytes(len(part), sys.byteorder)
     return out
 
 

@@ -606,7 +606,7 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = 
     workers = min(workers, os.cpu_count() or 1)
     half = max_degree // 2
     primes = _irreducible_masks(max_degree)
-    primes = primes[:bisect_left(primes, 1 << (half + 1))]  # the half-degree rule
+    primes = primes[:bisect_left(primes, 1 << (half + 1))].tolist()  # the half-degree rule
     found: list[int] = []
     if workers <= 1:
         _scan_children(primes, 0, 1, 1, [], max_degree, half, found)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from array import array
 from bisect import bisect_left
 from collections import Counter
 
@@ -59,7 +61,7 @@ def test_irreducible_counts_match_necklace_formula():
 def test_sieve_matches_trial_division(max_degree):
     # odd and even D reach the D//2 recursion and its base case (two levels
     # from D = 12); D < 3 puts the wheel prime x^3+x+1 past the array
-    assert _irreducible_masks(max_degree) == oracles.sieve_irreducibles(max_degree)
+    assert _irreducible_masks(max_degree).tolist() == oracles.sieve_irreducibles(max_degree)
 
 
 def test_sieve_marks_only_past_the_wheel(monkeypatch):
@@ -75,7 +77,7 @@ def test_sieve_marks_only_past_the_wheel(monkeypatch):
             return got
 
     monkeypatch.setattr(factorizer, "_irreducible_masks", lambda d: Primes(sieve(d)))
-    assert sieve(14) == oracles.sieve_irreducibles(14)
+    assert sieve(14).tolist() == oracles.sieve_irreducibles(14)
     assert walked[-1] == oracles.sieve_irreducibles(7)[4:]  # the levels D = 1, 3, 7 come first
     assert walked[-1][0] == 0b1101
     assert not {p for level in walked for p in level} & {0b10, 0b11, 0b111, 0b1011}
@@ -96,8 +98,23 @@ def test_sieve_to_degree_20():
     assert verdicts.count(False) > 300
 
 
+def test_sieve_is_compact():
+    """The flags cover only the odd masks and the result is an array("I"), so
+    the degree-20 sieve's traced peak stays below 4 MiB; a list of its
+    111,013 masks as int objects alone takes about 4 MiB."""
+    _irreducible_masks(10)  # warm the module-level tables and the re cache
+    tracemalloc.start()
+    try:
+        primes = _irreducible_masks(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(primes, array) and primes.typecode == "I"
+    assert peak < 4 << 20
+
+
 def test_sieve_refuses_degrees_above_its_cap(monkeypatch):
-    """Refused before the 2^(D+1)-byte sieve starts; the scan's ceiling reads the same cap."""
+    """Refused before the 2^D-byte sieve starts; the scan's ceiling reads the same cap."""
     assert factorizer.MAX_SIEVE_DEGREE == search.MAX_SCAN_CEILING == 26
 
     def no_sieve(max_degree):
