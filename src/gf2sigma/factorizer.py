@@ -207,63 +207,82 @@ def is_squarefree(p: Poly) -> bool:
 
 
 # The public sieve and the scan's ceiling go no higher.  At D = 26 the sieve
-# lists 5,387,991 primes in 5.6-6.6 s (2-core machine, CPython 3.11) and raises
-# the peak RSS by about 137 MB.
-# Past 31 the sieve's products would overflow their 32-bit lanes.
+# lists 5,387,991 primes in 3.0-3.1 s (2-core machine, CPython 3.11) and raises
+# the peak RSS by about 128 MB, to about 148 MB.
+# Past 31 the sieve's masks would overflow their 32-bit lanes.
 MAX_SIEVE_DEGREE = 26
 
 _WHEEL = 0b10100110  # W = x(x+1)(x^2+x+1)(x^3+x+1), degree 7
 _WHEEL_PRIMES = (0b10, 0b11, 0b111, 0b1011)
 # residue r of i mod W -> 1 when x*r + 1 is coprime to W, else 0
 _ODD_UNIT = bytes(_gcd(r << 1 | 1, _WHEEL) == 1 for r in range(128)).ljust(256, b"\x00")
-_CHUNK = 1 << 16  # bytes of the result turned from indices into masks at a time
+_FLAG = re.compile(b"\x01")
+_LANES = 1 << 14  # 32-bit lanes held in one int at a time
+# Primes of degree below this take every odd-weight cofactor, those from it on
+# the flagged ones, read one `re` match each.  At D = 20, cutting over at 3, 4,
+# 5, 6 leaves 249k, 271k, 313k, 365k marks, and the sieve took 41.6, 37.6,
+# 37.0, 39.4 ms (medians of 40 interleaved runs, 2-core machine, CPython 3.11):
+# the 43k flags read at degree 3 cost more than the marks they save.
+_ROUGH_FROM = 5
+
+
+def _multiples_of_x_plus_1(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(lanes, n) batches of the (x+1)v for lo <= v < hi, powers of 2: n of
+    them in one int, one per 32-bit lane, n <= _LANES."""
+    v, ones, n = 0, 1, 1  # lanes of v = 0 .. n-1, doubled up to _LANES
+    start = 1
+    while start < hi:
+        top = v + start * ones  # v = start .. start+n-1
+        if start >= lo:
+            yield top ^ top << 1, n
+        start += n
+        if n < _LANES:  # start was n
+            v |= top << 32 * n
+            ones |= ones << 32 * n
+            n *= 2
 
 
 def _irreducible_masks(max_degree: int) -> array:
     """All irreducible masks of degree 1..max_degree in (degree, mask) order.
 
     A sieve over cand[i], i < 2^D with D = max_degree, where index i stands
-    for the odd mask 2i+1 = x*i + 1: x is the only even prime, and it is a
-    wheel prime.  Soundness:
+    for the odd mask 2i+1 = x*i + 1 (x, the only even prime, is a wheel
+    prime).  Soundness:
 
     - Wheel.  cand starts set exactly at the i with gcd(x*i + 1, W) = 1 for
-      W = x(x+1)(x^2+x+1)(x^3+x+1), the product of the primes x, x+1, 7 and
-      11 (as masks).  x*i + 1 = x*(i mod W) + 1 (mod W), and i mod W is
-      built for every i by doubling: the i below 2^(k+1) are those below
-      2^k, then the same with x^k added, whose residues are r xor
-      (x^k mod W).  Each level is one 256-byte `translate` table, and one
-      final `translate` maps each residue r to the coprimality of x*r + 1.
-    - The constant 1 (i = 0) is cleared; the wheel primes, which divide W,
-      are prepended to the survivors.
-    - Every composite c (deg c <= D) coprime to W has a prime factor p of
-      least degree with 3 <= deg p <= D/2: deg p <= deg c / 2 because every
-      prime factor of the cofactor s = c/p has degree >= deg p, and deg p >= 3
-      because no prime of degree <= 2 divides c.  p is not x^3+x+1, so
-      p >= x^3+x^2+1 in mask order.
-    - s has constant term 1, and odd weight: weight parity is the value at
-      x = 1, which is multiplicative, and c(1) = 1.  So marking p*s for
-      every prime p from x^3+x^2+1 to degree D/2 (the sieve to D//2) and
-      every odd s of odd weight with deg p <= deg s <= D - deg p clears every
-      composite left by the wheel.  The products p*s for the odd s < 2^t
-      are grown level by level, split by the weight parity of s; adding x^t
-      to s flips it, so level t = deg s marks (p << t) ^ w for w in the
-      even-parity products.
-    - No prime is marked: each mark p*s has two factors of degree >= 3.
+      W = x(x+1)(x^2+x+1)(x^3+x+1).  x*i + 1 = x*(i mod W) + 1 (mod W), and
+      i mod W is built for every i by doubling: the i below 2^(k+1) are those
+      below 2^k, then the same with x^k added, whose residues are r xor
+      (x^k mod W); one 256-byte `translate` table per level, and a final
+      `translate` maps each residue r to the coprimality of x*r + 1.  The
+      constant 1 is cleared; the wheel primes are prepended to the survivors.
+    - Degree by degree, rough cofactors.  A composite c (deg c <= D) coprime
+      to W is p*s with p a prime factor of least degree d, so every prime
+      factor of s has degree >= d, d <= deg s = deg c - d, and d >= 3 (no
+      prime of degree <= 2 divides c).  The loop takes d = 3 .. D//2 in
+      turn.  At d, every composite of degree d is already cleared (its least
+      prime factor has degree <= d/2), so the flags of degree d are its
+      primes.  s is coprime to W, and every mark made so far has a prime
+      factor of degree below d, which s lacks: s is still flagged.  So
+      marking p*s for every flagged p of degree d and every s flagged at
+      degree d..D-d, both read before d marks anything, clears every
+      composite whose least prime factor has degree d.  No prime is marked:
+      p*s has two factors of degree >= 3.
+    - Below degree _ROUGH_FROM, s runs instead over every odd s of odd
+      weight (a superset: weight parity is the value at x = 1, which is
+      multiplicative, and c(1) = 1), whose indices are the multiples of x+1.
 
-    Each parity class is one int with a 32-bit lane per product, so a level
-    is one XOR with (p << t) * ones, where ones has a 1 in every lane.  A
-    product has degree at most D, so it fits its lane without carries into
-    the next one as long as D < 32; irreducibles and exhaustive_scan, the
-    ways in, refuse D above MAX_SIEVE_DEGREE = 26.  Every product p*s is
-    odd, so level ^ ones clears bit 0 of each lane, and the shift right by
-    one moves only that cleared bit out of a lane: each lane of
-    (level ^ ones) >> 1 holds the index (p*s - 1) / 2, read back as a
-    native "I" array.
+    A batch of cofactor indices is one int with a 32-bit lane each.
+    p*(x*i + 1) = x*(p*i) + p, so a product's index is p*i + (p-1)/x: the
+    XOR of lanes << k over the bits k of p, and of p >> 1 in every lane.  It
+    has degree <= D - 1, so no lane carries into the next while D <= 32;
+    irreducibles and exhaustive_scan, the ways in, refuse D above
+    MAX_SIEVE_DEGREE = 26.
 
-    The result is an array("I") of masks.  The survivors' indices i < 2^31
-    are collected into it, then turned into 2i+1 a chunk at a time as one
-    int per chunk, shifted left by one and ORed with a 1 in every lane; as
-    above, the shift carries no bit into the next lane.
+    The result is an array("I"): the survivors' indices i < 2^31, collected
+    by `re`, then turned into 2i+1 one int of _LANES lanes at a time, shifted
+    left by one and ORed with a 1 in every lane; the shift carries no bit
+    into the next lane.
     """
     if max_degree < 1:
         return array("I")
@@ -278,29 +297,29 @@ def _irreducible_masks(max_degree: int) -> array:
     cand = res.translate(_ODD_UNIT)
     del res
     cand[0] = 0  # the constant 1
-    for p in _irreducible_masks(max_degree // 2)[len(_WHEEL_PRIMES):]:
-        dp = p.bit_length() - 1
-        last = max_degree - dp
-        # p*s for the odd s < 2^t by weight parity, one 32-bit lane per product
-        even, odd, ones, n = p ^ p << 1, p, 1, 1  # s = x+1 and s = 1: t = 2
-        for t in range(2, last + 1):
-            top = (p << t) * ones
-            level = even ^ top  # deg s = t, s of odd weight
-            if t >= dp:
-                for i in memoryview(((level ^ ones) >> 1).to_bytes(4 * n, sys.byteorder)).cast("I"):
+    for d in range(3, max_degree // 2 + 1):
+        last = max_degree - d  # the cofactors' degrees are d..last
+        primes = [2 * m.start() + 1 for m in _FLAG.finditer(cand, 1 << d - 1, 1 << d)]
+        if d < _ROUGH_FROM:
+            batches = _multiples_of_x_plus_1(1 << d - 2, 1 << last - 1)
+        else:
+            found = array("I", map(re.Match.start, _FLAG.finditer(cand, 1 << d - 1, 1 << last)))
+            batches = [(int.from_bytes(found, sys.byteorder), len(found))]
+        for lanes, n in batches:
+            ones = int.from_bytes(b"\x01\x00\x00\x00" * n, "little")
+            for p in primes:
+                prod = (p >> 1) * ones
+                for k in range(d + 1):
+                    if p >> k & 1:
+                        prod ^= lanes << k
+                for i in memoryview(prod.to_bytes(4 * n, sys.byteorder)).cast("I"):
                     cand[i] = 0
-            if t < last:
-                shift = 32 * n
-                even |= (odd ^ top) << shift
-                odd |= level << shift
-                ones |= ones << shift
-                n *= 2
     wheel = 4 * len(out)  # bytes of the wheel primes, which are masks already
-    out.extend(map(re.Match.start, re.finditer(b"\x01", cand)))
+    out.extend(map(re.Match.start, _FLAG.finditer(cand)))
     del cand
     lanes = memoryview(out).cast("B")
-    for k in range(wheel, len(lanes), _CHUNK):
-        part = lanes[k:k + _CHUNK]
+    for k in range(wheel, len(lanes), 4 * _LANES):
+        part = lanes[k:k + 4 * _LANES]
         ones = int.from_bytes(b"\x01\x00\x00\x00" * (len(part) // 4), "little")
         part[:] = (int.from_bytes(part, sys.byteorder) << 1 | ones).to_bytes(len(part), sys.byteorder)
     return out

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import sys
 import tracemalloc
 from array import array
 from bisect import bisect_left
@@ -59,28 +61,62 @@ def test_irreducible_counts_match_necklace_formula():
 
 @pytest.mark.parametrize("max_degree", range(15))
 def test_sieve_matches_trial_division(max_degree):
-    # odd and even D reach the D//2 recursion and its base case (two levels
-    # from D = 12); D < 3 puts the wheel prime x^3+x+1 past the array
+    # D < 6 marks nothing, D < 10 marks only with the odd-weight cofactors and
+    # D >= 10 with the flagged ones too; D < 3 puts the wheel prime x^3+x+1
+    # past the array
     assert _irreducible_masks(max_degree).tolist() == oracles.sieve_irreducibles(max_degree)
 
 
 def test_sieve_marks_only_past_the_wheel(monkeypatch):
-    """The wheel clears every multiple of x, x+1, x^2+x+1 and x^3+x+1, so the
-    marking loop walks the primes from x^3+x^2+1 on."""
-    sieve = factorizer._irreducible_masks
-    walked = []
+    """The wheel clears every multiple of x, x+1, x^2+x+1 and x^3+x+1, so each
+    degree d = 3..D//2 reads its marking primes from the flags of degree d,
+    and they start at x^3+x^2+1."""
+    pattern, read = factorizer._FLAG, []
 
-    class Primes(list):
-        def __getitem__(self, key):
-            got = super().__getitem__(key)
-            walked.append(got)
-            return got
+    class Flags:
+        def finditer(self, flags, lo=0, hi=sys.maxsize):
+            found = list(pattern.finditer(flags, lo, hi))
+            if hi == 2 * lo:  # one degree: the primes (at odd D no cofactor range is one degree)
+                read.append([2 * m.start() + 1 for m in found])
+            return iter(found)
 
-    monkeypatch.setattr(factorizer, "_irreducible_masks", lambda d: Primes(sieve(d)))
-    assert sieve(14).tolist() == oracles.sieve_irreducibles(14)
-    assert walked[-1] == oracles.sieve_irreducibles(7)[4:]  # the levels D = 1, 3, 7 come first
-    assert walked[-1][0] == 0b1101
-    assert not {p for level in walked for p in level} & {0b10, 0b11, 0b111, 0b1011}
+    monkeypatch.setattr(factorizer, "_FLAG", Flags())
+    assert _irreducible_masks(13).tolist() == oracles.sieve_irreducibles(13)
+    marking = [p for primes in read for p in primes]
+    assert marking == oracles.sieve_irreducibles(6)[4:]  # degrees 3..6, both cofactor sources
+    assert marking[0] == 0b1101
+    assert not set(marking) & {0b10, 0b11, 0b111, 0b1011}
+
+
+@pytest.fixture(scope="module")
+def sieve22():
+    return _irreducible_masks(22)
+
+
+def test_sieve_to_degree_22_counts(sieve22):
+    by_degree = Counter(m.bit_length() - 1 for m in sieve22)
+    assert by_degree == {d: oracles.necklace_count(d) for d in range(1, 23)}
+
+
+@pytest.mark.parametrize("max_degree", range(1, 23))
+def test_sieve_is_a_prefix_of_the_degree_22_sieve(sieve22, max_degree):
+    """D sets the degrees 3..D//2 that mark and their cofactor degrees d..D-d."""
+    assert _irreducible_masks(max_degree) == sieve22[:bisect_left(sieve22, 2 << max_degree)]
+
+
+# SHA-256 of the masks as little-endian uint32, and their number
+SIEVE_DIGESTS = {
+    22: ("db56a6dc5d87d9a992c0ebae91654d63f8087b917b729579d74b23fff744d2e9", 401_428),
+    24: ("d38f0a7a46d59582b4e8abae7f14dae1e0db6ffb20ee8142dad39349824b0437", 1_465_020),
+}
+
+
+@pytest.mark.parametrize("max_degree", sorted(SIEVE_DIGESTS))
+def test_sieve_output_is_pinned(max_degree):
+    masks = _irreducible_masks(max_degree)
+    if sys.byteorder == "big":
+        masks.byteswap()
+    assert (hashlib.sha256(masks).hexdigest(), len(masks)) == SIEVE_DIGESTS[max_degree]
 
 
 def test_sieve_to_degree_20():
