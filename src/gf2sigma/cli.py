@@ -25,6 +25,7 @@ import contextlib
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -152,12 +153,23 @@ def _factor_items(f: Factorization, names: dict[Poly, str]) -> list[dict]:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write text to path via a temp file and os.replace (atomic on POSIX)."""
+    """Write text to path via a temp file and os.replace (atomic on POSIX).
+
+    The file keeps the mode of the one it replaces; a new file gets 0o666
+    less the umask, as open() would give it, not mkstemp's 0o600.
+    """
     target = os.path.abspath(path)
+    try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".gf2sigma-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -322,10 +334,8 @@ def _cmd_admissible(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    cat = _catalog()
-    names = cat.names_by_poly
-    fn = {"x2h": sigma_x2h_table, "mersenne": sigma_mersenne_table, "s": sigma_s_table}[args.table]
-    rows = fn(catalog=cat)
+    names = _catalog().names_by_poly
+    rows = {"x2h": sigma_x2h_table, "mersenne": sigma_mersenne_table, "s": sigma_s_table}[args.table]()
     data = {
         "table": args.table,
         "rows": [dict(r.to_json(), rendered=r.factorization.render(names)) for r in rows],

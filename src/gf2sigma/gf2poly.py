@@ -6,15 +6,20 @@ is shift-and-XOR over the set bits of the sparser operand, and squaring just
 spreads the bits apart.  The zero polynomial is the int 0 and its degree is
 the sentinel -1.
 
-Polynomial text has one grammar, read by :func:`parse` (alias
-:func:`parse_expr`): sums, products and powers, as in "(x+1)^2*x+1", of the
-atoms 0, 1, x, hex masks such as 0x13 and parenthesized expressions.
-Whitespace may separate tokens but not split one, so "x^3 7" is an error.
-Both printed forms, str(p) and p.to_hex(), parse back to p.
+Polynomial text has one grammar, read by :meth:`Poly.parse` and by the
+module functions :func:`parse` and :func:`parse_expr`, which are one
+function: sums, products and powers, as in "(x+1)^2*x+1", of the atoms 0, 1,
+x, hex masks such as 0x13 and parenthesized expressions.  Whitespace may
+separate tokens but not split one, so "x^3 7" is an error.  A degree above
+MAX_PARSE_DEGREE (65536), an exponent of more than 5 digits or parentheses
+nested deeper than 100 are refused; every refusal is a :class:`ParseError`
+carrying the offending position.  Both printed forms, str(p) and p.to_hex(),
+parse back to p.
 
-The public surface is the immutable :class:`Poly` wrapper plus a few module
-functions; the underscore-prefixed int-level helpers are shared with the
-sibling modules, which run their hot loops on raw masks.
+The public surface is the immutable :class:`Poly` wrapper, its constants
+ZERO, ONE and X, ParseError, gcd, parse and parse_expr; the
+underscore-prefixed int-level helpers are shared with the sibling modules,
+which run their hot loops on raw masks.
 """
 
 from __future__ import annotations
@@ -335,8 +340,6 @@ class Poly:
         masks and parenthesized expressions (grammar in the module docstring)."""
         return cls(_ExprParser(text).parse())
 
-    parse_expr = parse  # one parser; both names are public API
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -420,7 +423,7 @@ def parse(text: str) -> Poly:
     return Poly.parse(text)
 
 
-parse_expr = parse  # one parser; both names are public API
+parse_expr = parse  # public alias; the CLI parses through this name
 
 
 ZERO = Poly(0)

@@ -52,7 +52,7 @@ from .factorizer import MAX_SIEVE_DEGREE, Factorization, _irreducible_masks
 from .sigma import _geom_sum, _split_2adic
 # bench/tracing.py wraps search.build_catalog by name; the code here reads
 # the shared catalog `_catalog` and never builds one itself.
-from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, EXPECTED_DEGREE_SUM, Catalog, _catalog,  # noqa: F401
+from .catalog import (_SHAPE_MERSENNES, _SHAPE_STYPES, EXPECTED_DEGREE_SUM, _catalog,  # noqa: F401
                       _even_sigma_splits, _shape_mask, build_catalog)
 
 __all__ = [
@@ -240,29 +240,27 @@ class SigmaTableRow:
         }
 
 
-def _sigma_power_rows(bases: list[tuple[str, int]], catalog: Catalog) -> list[SigmaTableRow]:
-    family = [e.poly.mask for e in catalog.mersennes + catalog.stypes]
+def _sigma_power_rows(bases: list[tuple[str, int]]) -> list[SigmaTableRow]:
+    cat = _catalog()
+    family = [e.poly.mask for e in cat.mersennes + cat.stypes]
     return [SigmaTableRow(name, Poly(bm), 2 * h, Factorization(tuple((Poly(q), e) for q, e in fac)))
             for name, bm in bases
             for h, fac in _even_sigma_splits(bm, family)]
 
 
-def sigma_x2h_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
+def sigma_x2h_table() -> list[SigmaTableRow]:
     """Rows (base in {x, x+1}, 2h) where sigma(base^2h) factors over the family."""
-    cat = catalog or _catalog()
-    return _sigma_power_rows([("x", 2), ("x+1", 3)], cat)
+    return _sigma_power_rows([("x", 2), ("x+1", 3)])
 
 
-def sigma_mersenne_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
+def sigma_mersenne_table() -> list[SigmaTableRow]:
     """Rows (M, 2h) where sigma(M^2h) factors over the family."""
-    cat = catalog or _catalog()
-    return _sigma_power_rows([(e.name, e.poly.mask) for e in cat.mersennes], cat)
+    return _sigma_power_rows([(e.name, e.poly.mask) for e in _catalog().mersennes])
 
 
-def sigma_s_table(catalog: Catalog | None = None) -> list[SigmaTableRow]:
+def sigma_s_table() -> list[SigmaTableRow]:
     """Rows (S, 2h) where sigma(S^2h) factors over the family."""
-    cat = catalog or _catalog()
-    return _sigma_power_rows([(e.name, e.poly.mask) for e in cat.stypes], cat)
+    return _sigma_power_rows([(e.name, e.poly.mask) for e in _catalog().stypes])
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +366,14 @@ def _render_tuple_factorization(t: ExponentTuple) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-def pipeline_finalize(candidates: list[tuple[ExponentTuple, Poly]], counts: tuple[int, int, int] | None = None) -> SearchReport:
+def pipeline_finalize(candidates: list[tuple[ExponentTuple, Poly]], counts: tuple[int, int, int]) -> SearchReport:
     """Filter candidates by perfectness, close under bar, check the known set.
 
     Survivors must carry at least one odd prime factor (candidates that are
     pure x^a (x+1)^b powers are the trivial perfect family and belong to a
-    different classification).  Raises SearchError if the bar-closure differs
-    from the eleven cataloged perfect polynomials.
+    different classification).  counts are the sizes of steps 1-3, copied
+    into the report.  Raises SearchError if the bar-closure differs from the
+    eleven cataloged perfect polynomials.
     """
     cat = _catalog()
     survivors = []
@@ -393,11 +392,8 @@ def pipeline_finalize(candidates: list[tuple[ExponentTuple, Poly]], counts: tupl
             f"closure mismatch: missing={missing!r} extra={extra!r}"
         )
     names = tuple(cat.names_by_poly[p] for p in closure)
-    c1, c2, c3 = counts if counts else (0, 0, 0)
     return SearchReport(
-        step1_count=c1,
-        step2_count=c2,
-        step3_count=c3,
+        *counts,
         candidates=tuple(candidates),
         perfect_survivors=tuple(survivors),
         closure=tuple(closure),
@@ -525,23 +521,20 @@ def _scan_task(task: tuple) -> list[int]:
     return out
 
 
-def _scan_ceiling(ceiling: int | None) -> int:
-    """The degree cap: ceiling=, else GF2SIGMA_SCAN_CEILING, else the default."""
-    name = "ceiling"
-    if ceiling is None:
-        name = SCAN_CEILING_ENV
-        raw = os.environ.get(SCAN_CEILING_ENV, str(DEFAULT_SCAN_CEILING))
-        try:
-            ceiling = int(raw)
-        except ValueError:
-            raise ValueError(f"{SCAN_CEILING_ENV} must be an integer, got {raw!r}") from None
+def _scan_ceiling() -> int:
+    """The degree cap: GF2SIGMA_SCAN_CEILING, else the default."""
+    raw = os.environ.get(SCAN_CEILING_ENV, str(DEFAULT_SCAN_CEILING))
+    try:
+        ceiling = int(raw)
+    except ValueError:
+        raise ValueError(f"{SCAN_CEILING_ENV} must be an integer, got {raw!r}") from None
     if not 1 <= ceiling <= MAX_SCAN_CEILING:
-        raise ValueError(f"{name} must be at most {MAX_SCAN_CEILING} (search.MAX_SCAN_CEILING) "
+        raise ValueError(f"{SCAN_CEILING_ENV} must be at most {MAX_SCAN_CEILING} (search.MAX_SCAN_CEILING) "
                          f"and at least 1, got {ceiling}")
     return ceiling
 
 
-def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = None) -> list[Poly]:
+def exhaustive_scan(max_degree: int, *, workers: int = 1) -> list[Poly]:
     """All perfect polynomials of degree 1..max_degree, sorted by (degree, mask).
 
     A DFS over factorizations: a node is a = prod p_i^e_i over a prefix
@@ -592,13 +585,12 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1, ceiling: int | None = 
     rule is known from a alone (`_exponent_step`): A lacks x when idx >= 1
     and a & 1, and lacks x+1 when idx >= 2 and a has odd weight.
 
-    The ceiling defaults to 24 and may be overridden with the
-    GF2SIGMA_SCAN_CEILING environment variable or ceiling=, up to
-    MAX_SCAN_CEILING.  workers is capped at os.cpu_count(); above 1, each
-    child of the root is one pool task, so the pool splits only the DFS and
-    the sieve runs in this process.
+    max_degree is capped at 24; the GF2SIGMA_SCAN_CEILING environment
+    variable sets another cap from 1 up to MAX_SCAN_CEILING.  workers is
+    capped at os.cpu_count(); above 1, each child of the root is one pool
+    task, so the pool splits only the DFS and the sieve runs in this process.
     """
-    ceiling = _scan_ceiling(ceiling)
+    ceiling = _scan_ceiling()
     if not 1 <= max_degree <= ceiling:
         raise ValueError(f"max_degree must be in 1..{ceiling}, got {max_degree}")
     if workers < 1:

@@ -87,10 +87,10 @@ def test_criterion_1_catalog_verification(announce):
     announce.ok(1, "catalog verification", time.perf_counter() - started, 1.0)
 
 
-def test_criterion_2_x_power_table(announce, catalog, names):
+def test_criterion_2_x_power_table(announce, names):
     """sigma(x^2h) / sigma((x+1)^2h) rows over the family, for every h."""
     started = time.perf_counter()
-    rows = sigma_x2h_table(catalog=catalog)
+    rows = sigma_x2h_table()
     got = _table_as_name_maps(rows, names)
     assert got == expected.X2H_TABLE
     for base in ("x", "x+1"):
@@ -99,20 +99,20 @@ def test_criterion_2_x_power_table(announce, catalog, names):
     announce.ok(2, "x-power sigma table", time.perf_counter() - started, 10.0)
 
 
-def test_criterion_3_mersenne_power_table(announce, catalog, names):
+def test_criterion_3_mersenne_power_table(announce, names):
     """sigma(M^2h) rows that stay inside the family, for every h."""
     started = time.perf_counter()
-    rows = sigma_mersenne_table(catalog=catalog)
+    rows = sigma_mersenne_table()
     got = _table_as_name_maps(rows, names)
     assert got == expected.MERSENNE_TABLE
     assert len(got) == 6
     announce.ok(3, "Mersenne-power sigma table", time.perf_counter() - started, 60.0)
 
 
-def test_criterion_4_s_power_table(announce, catalog, names):
+def test_criterion_4_s_power_table(announce, names):
     """sigma(S^2h) rows that stay inside the family, for every h."""
     started = time.perf_counter()
-    rows = sigma_s_table(catalog=catalog)
+    rows = sigma_s_table()
     got = _table_as_name_maps(rows, names)
     assert got == expected.S_TABLE
     assert len(got) == 2

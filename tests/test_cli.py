@@ -353,6 +353,34 @@ class TestTheorem:
         assert "closure matches the cataloged perfect polynomials" in out
 
 
+class TestWrittenFileModes:
+    """Written files follow the umask like open() and keep a replaced file's
+    mode, though the atomic write goes through a 0o600 temp file."""
+
+    WRITERS = {"theorem": ("theorem", "--report"), "catalog export": ("catalog", "export", "--output")}
+
+    @pytest.fixture(autouse=True)
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_new_file_follows_umask(self, run, tmp_path, writer):
+        out_file = tmp_path / "out.json"
+        assert run(*self.WRITERS[writer], str(out_file))[0] == 0
+        assert oct(out_file.stat().st_mode & 0o777) == oct(0o644)
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640], ids=oct)
+    def test_replaced_file_keeps_its_mode(self, run, tmp_path, mode):
+        out_file = tmp_path / "out.json"
+        out_file.write_text("old\n")
+        out_file.chmod(mode)
+        assert run("catalog", "export", "--output", str(out_file))[0] == 0
+        assert out_file.read_text() != "old\n"
+        assert oct(out_file.stat().st_mode & 0o777) == oct(mode)
+
+
 class TestScan:
     def test_degree_8(self, run_json):
         code, data, _ = run_json("scan", "--max-degree", "8")

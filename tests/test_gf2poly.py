@@ -101,6 +101,30 @@ class TestParsePrint:
         assert ei.value.text == "x^2+zzz"
         assert str(ei.value) == "unexpected character at position 4 in 'x^2+zzz'"
 
+    @pytest.mark.parametrize("text, message, pos", [
+        pytest.param("", "empty polynomial", 0, id="empty"),
+        pytest.param("  ", "empty polynomial", 0, id="blank"),
+        pytest.param("x^", "unexpected end of input", 2, id="end-after-caret"),
+        pytest.param("(x+1", "unexpected end of input", 4, id="end-inside-parens"),
+        pytest.param("x)", "unexpected token ')'", 1, id="token-after-expr"),
+        pytest.param("00", "unexpected token '00'", 0, id="token-as-atom"),
+        pytest.param("x+" + "2" * 30, "unexpected token '22222222222222222222'...", 2, id="token-cut"),
+        pytest.param("(x+1 x", "expected ')', got 'x'", 5, id="unclosed-paren"),
+        pytest.param("x^x", "exponent must be a nonnegative integer, got 'x'", 2, id="exponent-not-digits"),
+        pytest.param("x^-1", "exponent must be a nonnegative integer, got '-'", 2, id="exponent-negative"),
+        pytest.param("x^123456", "exponent has more than 5 digits", 2, id="exponent-digits"),
+        pytest.param("x^65537", "degree 65537 exceeds 65536", 2, id="power-degree"),
+        pytest.param("x^40000*x^40000", "degree 80000 exceeds 65536", 7, id="product-degree"),
+        pytest.param("(" * 101 + "x" + ")" * 101, "parentheses nested deeper than 100", 100, id="nesting"),
+        pytest.param("x+y", "unexpected character", 2, id="character"),
+    ])
+    def test_parse_error_messages(self, text, message, pos):
+        """Every ParseError message, word for word, with its position."""
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert (ei.value.text, ei.value.pos) == (text, pos)
+        assert str(ei.value).startswith(f"{message} at position {pos} in ")
+
     def test_whitespace_does_not_join_digits(self):
         """Whitespace separates tokens, so a split exponent is an error at the
         second digit run rather than x^37 or x^28."""

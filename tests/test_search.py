@@ -346,7 +346,7 @@ class TestPipeline:
 
     def test_finalize_rejects_incomplete_candidate_sets(self):
         with pytest.raises(SearchError):
-            pipeline_finalize([])
+            pipeline_finalize([], (0, 0, 0))
 
     def test_report_json_counts(self, pipeline_report):
         data = pipeline_report.to_json()
@@ -392,16 +392,17 @@ class TestExhaustiveScan:
             exhaustive_scan(0)
         with pytest.raises(ValueError):
             exhaustive_scan(DEFAULT_SCAN_CEILING + 1)
+        monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", "3")
         with pytest.raises(ValueError):
-            exhaustive_scan(4, ceiling=3)
+            exhaustive_scan(4)
         monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", "10")
         with pytest.raises(ValueError):
             exhaustive_scan(12)
-        assert len(exhaustive_scan(12, ceiling=12)) == 8  # explicit beats env
 
     def test_ceiling_below_one_names_the_ceiling(self, monkeypatch):
-        with pytest.raises(ValueError, match="^ceiling must be .* at least 1, got 0") as exc:
-            exhaustive_scan(5, ceiling=0)
+        monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", "0")
+        with pytest.raises(ValueError, match="^GF2SIGMA_SCAN_CEILING must be .* at least 1, got 0") as exc:
+            exhaustive_scan(5)
         assert "max_degree" not in str(exc.value)
         monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", "-2")
         with pytest.raises(ValueError, match="^GF2SIGMA_SCAN_CEILING must be .* at least 1, got -2"):
@@ -417,12 +418,11 @@ class TestExhaustiveScan:
             exhaustive_scan(6, workers=0)
 
     def test_ceiling_maximum(self, monkeypatch):
-        with pytest.raises(ValueError, match="ceiling must be at most"):
-            exhaustive_scan(4, ceiling=MAX_SCAN_CEILING + 1)
-        assert len(exhaustive_scan(4, ceiling=MAX_SCAN_CEILING)) == 1
         monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", str(MAX_SCAN_CEILING + 1))
-        with pytest.raises(ValueError, match="GF2SIGMA_SCAN_CEILING"):
+        with pytest.raises(ValueError, match="^GF2SIGMA_SCAN_CEILING must be at most"):
             exhaustive_scan(4)
+        monkeypatch.setenv("GF2SIGMA_SCAN_CEILING", str(MAX_SCAN_CEILING))
+        assert len(exhaustive_scan(4)) == 1
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         """The pool gets at most os.cpu_count() processes; the fake pool

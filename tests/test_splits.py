@@ -105,7 +105,7 @@ def test_tripled_bound_adds_nothing(catalog, monkeypatch):
     singletons = [[e.poly] for e in catalog.mersennes + catalog.stypes]
 
     def outputs():
-        return ([[r.to_json() for r in table(catalog=catalog)] for table in tables],
+        return ([[r.to_json() for r in table()] for table in tables],
                 [check_admissible(f).to_json() for f in singletons])
 
     at_bound = outputs()
