@@ -2,6 +2,14 @@
 
 Irreducibility is Rabin's criterion: p of degree d is irreducible iff
 x^(2^d) == x (mod p) and gcd(x^(2^(d/r)) - x, p) = 1 for every prime r | d.
+Along the way it takes Ben-Or's early gcds, gcd(x^(2^i) - x, p) for
+i = 1..b with b = min(bit_length(d), d // 2), and returns False at the first
+one that is not 1.  That is sound for every i < d, and b < d for every
+d >= 1: the gcd is the product of p's distinct irreducible factors whose
+degree divides i, so it is 1 for an irreducible p, and anything else shows a
+factor of degree <= i < d.  A reducible p with a factor of degree <= b, which
+a random or smooth input usually has, stops after at most b squarings
+instead of d; an irreducible p pays at most b extra gcds.
 
 Factorization runs squarefree decomposition (characteristic-2 aware: a
 vanishing derivative means the polynomial is a perfect square), then
@@ -48,17 +56,27 @@ def _is_irreducible_mask(p: int) -> bool:
     if d < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
     x0 = _mod(2, p)
-    checkpoints = {d // r for r in _prime_divisors(d)}
+    # Rabin's checkpoints d/r and the early gcds 1..b; d // 2 keeps b < d
+    checks = {d // r for r in _prime_divisors(d)} | set(range(1, min(d.bit_length(), d // 2) + 1))
     h = x0
     for i in range(1, d + 1):
         h = _sqr_mod(h, p)
-        if i in checkpoints and _gcd(h ^ x0, p) != 1:
+        if i in checks and _gcd(h ^ x0, p) != 1:
             return False
     return h == x0
 
 
 def is_irreducible(p: Poly) -> bool:
-    """Rabin's irreducibility test; raises for constants and zero."""
+    """Rabin's irreducibility test with Ben-Or's early exit; raises for
+    constants and zero.
+
+    gcd(x^(2^i) - x, p) is taken for i = 1..min(bit_length(d), d // 2) as well
+    as at Rabin's checkpoints d/r, and one that is not 1 returns False at
+    once: it is the product of p's irreducible factors whose degree divides
+    i < d, which is 1 when p is irreducible.  So a reducible p with a small
+    factor returns after a few squarings, and an irreducible p pays at most
+    that many extra gcds.
+    """
     return _is_irreducible_mask(p.mask)
 
 

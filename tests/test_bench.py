@@ -1,5 +1,7 @@
-"""Smoke tests of the benchmark harness: one untraced scan20 run as the
-benchmark runs it, one traced scan20 and one traced classify round.
+"""Smoke tests of the benchmark harness: untraced scan20 and factor-mix runs
+as the benchmark runs them, one traced scan20 and one traced classify round.
+The factor-mix run checks `is_irreducible` against the trial division in
+`bench/workloads.py` on its degree-16 inputs.
 
 The per-layer rows `factorizer.sieve_*.d20` are read from the sieve span
 whose max_degree is 20, so they go missing if the scan stops sieving to its
@@ -41,6 +43,10 @@ def test_untraced_scan20_run_reports_the_end_to_end_metrics():
     assert set(metrics) == {row["name"] for row in declared}
     for name, row in metrics.items():
         assert math.isfinite(row["value"]) and row["value"] > 0, name
+
+
+def test_untraced_factor_mix_run():
+    _metrics("factor-mix", 0)
 
 
 def test_traced_scan20_round():

@@ -183,6 +183,57 @@ def test_is_irreducible_basics():
             is_irreducible(degenerate)
 
 
+def test_is_irreducible_matches_trial_division_to_degree_14():
+    """Covers d = 1 and 2, where the early gcds must stop below d, and the
+    degrees where only a Rabin checkpoint (6 + 6 at d = 12) or only the final
+    x^(2^d) == x (5 + 9 at d = 14) sees a composite."""
+    primes = oracles.sieve_irreducibles(14)
+    assert [m for m in range(2, 1 << 15) if is_irreducible(Poly(m))] == primes
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the gcds and the squarings the irreducibility test takes."""
+    counts = Counter()
+    for name in ("_gcd", "_sqr_mod"):
+        def counted(a, b, f=getattr(factorizer, name), name=name):
+            counts[name] += 1
+            return f(a, b)
+
+        monkeypatch.setattr(factorizer, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("d", [64, 256, 512])
+def test_planted_factor_is_found(d, calls):
+    """p = q * c with q irreducible of degree k = 1 .. bit_length(d) + 2.
+
+    While k is within the early-gcd bound (bit_length(d) at these degrees) the
+    test stops by the k-th squaring.  Past it, c is irreducible too, so no
+    early gcd sees a factor and Rabin's own gcds or final check must reject p."""
+    bound = d.bit_length()
+    rng = random.Random(f"planted:{d}")
+    small = oracles.sieve_irreducibles(bound + 2)
+    for k in range(1, bound + 3):
+        q = rng.choice([m for m in small if m.bit_length() - 1 == k])
+        c = (1 << (d - k)) | rng.getrandbits(d - k) | 1
+        if k > bound:
+            while not is_irreducible(Poly(c)):
+                c = (1 << (d - k)) | rng.getrandbits(d - k) | 1
+        p = Poly(q) * Poly(c)
+        calls.clear()
+        assert not is_irreducible(p), k
+        if k <= bound:
+            assert calls["_sqr_mod"] <= k
+
+
+@pytest.mark.parametrize("text", ["x^127+x+1", "x^521+x^32+1", "x^607+x^105+1"])
+def test_irreducible_trinomials_pay_at_most_the_bound_in_extra_gcds(text, calls):
+    p = parse(text)
+    assert is_irreducible(p)
+    assert calls["_gcd"] <= len(factorizer._prime_divisors(p.degree)) + p.degree.bit_length()
+
+
 def test_is_squarefree_matches_exponents():
     rng = random.Random(66)
     for _ in range(2000):
