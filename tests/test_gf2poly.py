@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -117,6 +118,11 @@ class TestParsePrint:
         pytest.param("x^40000*x^40000", "degree 80000 exceeds 65536", 7, id="product-degree"),
         pytest.param("(" * 101 + "x" + ")" * 101, "parentheses nested deeper than 100", 100, id="nesting"),
         pytest.param("x+y", "unexpected character", 2, id="character"),
+        pytest.param("x^\u00b2", "unexpected character", 2, id="superscript-exponent"),
+        pytest.param("x^1\u00b2", "unexpected character", 3, id="superscript-in-exponent"),
+        pytest.param("x)\u00b2", "unexpected character", 2, id="character-beats-token"),
+        pytest.param("(x+1 \u00b2", "unexpected character", 5, id="character-beats-paren"),
+        pytest.param("\u0663", "unexpected token '\u0663'", 0, id="decimal-digit-atom"),
     ])
     def test_parse_error_messages(self, text, message, pos):
         """Every ParseError message, word for word, with its position."""
@@ -124,6 +130,12 @@ class TestParsePrint:
             parse(text)
         assert (ei.value.text, ei.value.pos) == (text, pos)
         assert str(ei.value).startswith(f"{message} at position {pos} in ")
+
+    def test_unicode_decimal_exponents(self):
+        """An exponent is a run of Unicode decimal digits, the set regex \\d
+        matches: Arabic-Indic and fullwidth 3 read as 3.  '\u00b2' is a digit
+        to str.isdigit but not decimal, so it is an unexpected character."""
+        assert parse("x^\u0663") == parse("x^\uff13") == X ** 3
 
     def test_whitespace_does_not_join_digits(self):
         """Whitespace separates tokens, so a split exponent is an error at the
@@ -194,6 +206,51 @@ class TestParsePrint:
             with pytest.raises(ParseError) as ei:
                 parse_expr("x*" + "(" * depth + "x" + ")" * depth)
             assert ei.value.pos == 2 + limit
+
+
+# Tokens for test_parse_outcomes_are_pinned: operands, operators and
+# exponents in grammatical order most of the time, and odd tokens (blanks,
+# bad characters, non-ASCII digits, a bare hex prefix) anywhere.
+_PIN_OPERANDS = ["x", "x", "0", "1", "(", "0x1f"]
+_PIN_OPERATORS = ["+", "+", "*", "^", ")"]
+_PIN_EXPONENTS = ["2", "3", "17", "00007", "65536", "70000", "99999999", "\u0663", "\uff13"]
+_PIN_ODD = [" ", "\t", "0X", "y", "-", "\u00b2"]
+PARSE_OUTCOMES_DIGEST = "4c935b39d8637803436da01d5530b10113a1f762671fb00b3cc26ae1799465a3"
+
+
+def _pin_text(rng: random.Random) -> str:
+    """0-14 tokens, one in twenty texts wrapped in 95-105 parentheses."""
+    tokens = [""]
+    for _ in range(rng.randint(0, 14)):
+        last = tokens[-1]
+        pool = (_PIN_OPERANDS + _PIN_OPERATORS + _PIN_EXPONENTS + _PIN_ODD if rng.random() < 0.15
+                else _PIN_EXPONENTS if last == "^"
+                else _PIN_OPERANDS if last in ("", "+", "*", "(")
+                else _PIN_OPERATORS)
+        tokens.append(rng.choice(pool))
+    text = "".join(tokens)
+    if rng.random() < 0.05:
+        depth = rng.randint(95, 105)
+        text = "(" * depth + text + ")" * depth
+    return text
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return hex(parse(text).mask)
+    except ParseError as exc:
+        return f"{exc.pos} {exc}"
+    except Exception as exc:  # any other exception is a parser bug; pin its type
+        return type(exc).__name__
+
+
+def test_parse_outcomes_are_pinned():
+    """20,000 seeded texts give the same value, or the same ParseError message
+    and position, as when the digest was taken; any change to what the parser
+    accepts or reports shows here."""
+    rng = random.Random(20261020)
+    outcomes = "\n".join(_parse_outcome(_pin_text(rng)) for _ in range(20_000))
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == PARSE_OUTCOMES_DIGEST
 
 
 class TestRingOps:
