@@ -6,15 +6,16 @@ is shift-and-XOR over the set bits of the sparser operand, and squaring just
 spreads the bits apart.  The zero polynomial is the int 0 and its degree is
 the sentinel -1.
 
-Polynomial text has one grammar, read by :meth:`Poly.parse` and by the
-module functions :func:`parse` and :func:`parse_expr`, which are one
-function: sums, products and powers, as in "(x+1)^2*x+1", of the atoms 0, 1,
-x, hex masks such as 0x13 and parenthesized expressions.  Whitespace may
-separate tokens but not split one, so "x^3 7" is an error.  A degree above
-MAX_PARSE_DEGREE (65536), an exponent of more than 5 digits or parentheses
-nested deeper than 100 are refused; every refusal is a :class:`ParseError`
-carrying the offending position.  Both printed forms, str(p) and p.to_hex(),
-parse back to p.
+Polynomial text has one grammar, read in one pass by :meth:`Poly.parse`
+and by the module functions :func:`parse` and :func:`parse_expr`, which are
+one function: sums, products and powers, as in "(x+1)^2*x+1", of the atoms 0,
+1, x, hex masks such as 0x13 and parenthesized expressions.  An exponent is a
+run of decimal digits, Unicode ones included.  Whitespace may separate tokens
+but not split one, so "x^3 7" is an error.  A degree above MAX_PARSE_DEGREE
+(65536), an exponent of more than 5 digits or parentheses nested deeper than
+100 are refused; every refusal is a :class:`ParseError` carrying the
+offending position, and a character that starts no token is reported before
+any other error.  Both printed forms, str(p) and p.to_hex(), parse back to p.
 
 The public surface is the immutable :class:`Poly` wrapper, its constants
 ZERO, ONE and X, ParseError, gcd, parse and parse_expr; the
@@ -33,8 +34,8 @@ __all__ = ["Poly", "ParseError", "gcd", "parse", "parse_expr", "X", "ONE", "ZERO
 # polynomial is not, so the parser checks degrees before computing.
 MAX_PARSE_DEGREE = 1 << 16
 
-# Deepest parenthesis nesting that parse accepts.  Its recursive descent
-# takes four stack frames per '(', so this stays far below the recursion limit.
+# Deepest parenthesis nesting that parse accepts, a limit on outside text: the
+# parser stacks one (sum, product, '*' index) entry per open '('.
 _MAX_PARSE_NESTING = 100
 
 _popcount = int.bit_count  # Python 3.10+
@@ -173,23 +174,7 @@ def _star(a: int) -> int:
 # parsing and printing
 # ---------------------------------------------------------------------------
 
-def _check_degree(degree: int, text: str, pos: int) -> None:
-    if degree > MAX_PARSE_DEGREE:
-        raise ParseError(f"degree {degree} exceeds {MAX_PARSE_DEGREE}", text, pos)
-
-
 _MAX_EXPONENT_DIGITS = len(str(MAX_PARSE_DEGREE))
-
-
-def _parse_exponent(digits: str, text: str, pos: int) -> int:
-    """int(digits), refusing more digits than any degree up to MAX_PARSE_DEGREE has.
-
-    Past 4300 digits int() raises a plain ValueError with no position.
-    """
-    digits = digits.lstrip("0") or "0"  # int() counts leading zeros toward its limit
-    if len(digits) > _MAX_EXPONENT_DIGITS:
-        raise ParseError(f"exponent has more than {_MAX_EXPONENT_DIGITS} digits", text, pos)
-    return int(digits)
 
 
 def _quote_token(tok: str) -> str:
@@ -198,101 +183,94 @@ def _quote_token(tok: str) -> str:
     return repr(tok) if len(tok) <= 20 else f"{tok[:20]!r}..."
 
 
-# A token, or in group 2 the first character that starts none; every
-# non-space character is matched, so the matches cover the text.
-_EXPR_TOKEN_RE = re.compile(r"\s*(?:(0[xX][0-9a-fA-F]+|\d+|x|[-+*^()])|(\S))")
+# A token, or a lone character that starts none; the matches cover every
+# non-space character of the text.
+_EXPR_TOKEN_RE = re.compile(r"\s*(0[xX][0-9a-fA-F]+|\d+|x|[-+*^()]|\S)")
 
 
-def _tokenize_expr(text: str) -> list[tuple[str, int]]:
-    tokens = [(m[1], m.start(1)) for m in _EXPR_TOKEN_RE.finditer(text)]
-    if (None, -1) in tokens:  # a character that starts no token
-        pos = next(m.start(2) for m in _EXPR_TOKEN_RE.finditer(text) if m[2])
-        raise ParseError("unexpected character", text, pos)
-    return tokens
+def _parse_mask(text: str) -> int:
+    """The mask of polynomial text, read in one pass over its tokens.
 
+    Each open parenthesis stacks the enclosing (sum, product, index of the
+    pending '*'); an index of -1 means no '*' is pending.  Token positions are
+    looked up only to report an error.
+    """
+    tokens = _EXPR_TOKEN_RE.findall(text)
+    if not tokens:
+        raise ParseError("empty polynomial", text, 0)
+    tokens.append("")  # the end of input
 
-class _ExprParser:
-    """Recursive descent for sums/products/powers of parenthesized atoms."""
+    def fail(i: int, message: str) -> ParseError:
+        starts = [m.start(1) for m in _EXPR_TOKEN_RE.finditer(text)] + [len(text)]
+        # Text that parses holds no character that starts no token, so the
+        # first one is the error wherever the parse stopped.
+        for tok, pos in zip(tokens, starts):
+            if len(tok) == 1 and tok not in "x-+*^()" and not tok.isdecimal():
+                return ParseError("unexpected character", text, pos)
+        return ParseError(message if tokens[i] else "unexpected end of input", text, starts[i])
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize_expr(text)
-        self.tokens.append((None, len(text)))  # the end of input
-        self.i = 0
-        self.depth = 0  # parentheses open at the current token
-
-    def next(self) -> tuple[str, int]:
-        tok = self.tokens[self.i]
-        if tok[0] is None:
-            raise ParseError("unexpected end of input", self.text, len(self.text))
-        self.i += 1
-        return tok
-
-    def parse(self) -> int:
-        if len(self.tokens) == 1:
-            raise ParseError("empty polynomial", self.text, 0)
-        mask = self.expr()
-        tok, pos = self.tokens[self.i]
-        if tok is not None:
-            raise ParseError(f"unexpected token {_quote_token(tok)}", self.text, pos)
-        return mask
-
-    # expr, term and factor read self.tokens directly, stopped by the end
-    # marker: a printed degree-256 polynomial is about 500 tokens
-    def expr(self) -> int:
-        tokens = self.tokens
-        mask = self.term()
-        while tokens[self.i][0] == "+":
-            self.i += 1
-            mask ^= self.term()
-        return mask
-
-    def term(self) -> int:
-        tokens = self.tokens
-        mask = self.factor()
-        while tokens[self.i][0] == "*":
-            pos = tokens[self.i][1]
-            self.i += 1
-            other = self.factor()
-            _check_degree(mask.bit_length() - 1 + other.bit_length() - 1, self.text, pos)
-            mask = _mul(mask, other)
-        return mask
-
-    def factor(self) -> int:
-        mask = self.atom()
-        if self.tokens[self.i][0] == "^":
-            self.i += 1
-            tok, pos = self.next()
-            if not tok.isdigit():
-                raise ParseError(f"exponent must be a nonnegative integer, got {_quote_token(tok)}", self.text, pos)
-            k = _parse_exponent(tok, self.text, pos)
-            _check_degree((mask.bit_length() - 1) * k, self.text, pos)
-            mask = 1 << k if mask == 2 else _pow(mask, k)
-        return mask
-
-    def atom(self) -> int:
-        tok, pos = self.next()
+    stack = []
+    total, prod, star = 0, 0, -1
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
         if tok == "(":
-            self.depth += 1
-            if self.depth > _MAX_PARSE_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_PARSE_NESTING}", self.text, pos)
-            mask = self.expr()
-            tok2, pos2 = self.next()
-            if tok2 != ")":
-                raise ParseError(f"expected ')', got {_quote_token(tok2)}", self.text, pos2)
-            self.depth -= 1
-            return mask
+            if len(stack) == _MAX_PARSE_NESTING:
+                raise fail(i - 1, f"parentheses nested deeper than {_MAX_PARSE_NESTING}")
+            stack.append((total, prod, star))
+            total, star = 0, -1
+            continue
         if tok == "x":
-            return 2
-        if tok[:2] in ("0x", "0X"):
+            mask = 2
+        elif tok in ("0", "1"):
+            mask = int(tok)
+        elif tok[:2] in ("0x", "0X"):
             mask = int(tok, 16)
-            _check_degree(mask.bit_length() - 1, self.text, pos)
-            return mask
-        if tok == "0":
-            return 0
-        if tok == "1":
-            return 1
-        raise ParseError(f"unexpected token {_quote_token(tok)}", self.text, pos)
+            degree = mask.bit_length() - 1
+            if degree > MAX_PARSE_DEGREE:
+                raise fail(i - 1, f"degree {degree} exceeds {MAX_PARSE_DEGREE}")
+        else:
+            raise fail(i - 1, f"unexpected token {_quote_token(tok)}")
+        while True:  # mask is the atom or parenthesized sum that ends at tokens[i - 1]
+            if tokens[i] == "^":
+                digits = tokens[i + 1]
+                # isdecimal() is the digit set of \d; isdigit() would also
+                # pass superscripts, which start no token
+                if not digits.isdecimal():
+                    raise fail(i + 1, f"exponent must be a nonnegative integer, got {_quote_token(digits)}")
+                digits = digits.lstrip("0") or "0"  # int() counts leading zeros toward its limit
+                if len(digits) > _MAX_EXPONENT_DIGITS:  # past 4300 digits int() raises ValueError
+                    raise fail(i + 1, f"exponent has more than {_MAX_EXPONENT_DIGITS} digits")
+                k = int(digits)
+                degree = (mask.bit_length() - 1) * k
+                if degree > MAX_PARSE_DEGREE:
+                    raise fail(i + 1, f"degree {degree} exceeds {MAX_PARSE_DEGREE}")
+                mask = 1 << k if mask == 2 else _pow(mask, k)
+                i += 2
+            if star >= 0:
+                degree = prod.bit_length() + mask.bit_length() - 2
+                if degree > MAX_PARSE_DEGREE:
+                    raise fail(star, f"degree {degree} exceeds {MAX_PARSE_DEGREE}")
+                mask = _mul(prod, mask)
+            tok = tokens[i]
+            i += 1
+            if tok == "*":
+                prod, star = mask, i - 1
+                break
+            total ^= mask
+            star = -1
+            if tok == "+":
+                break
+            if tok == ")" and stack:
+                mask = total
+                total, prod, star = stack.pop()
+            elif stack:
+                raise fail(i - 1, f"expected ')', got {_quote_token(tok)}")
+            elif tok:
+                raise fail(i - 1, f"unexpected token {_quote_token(tok)}")
+            else:
+                return total
 
 
 def _format_mask(mask: int) -> str:
@@ -338,7 +316,7 @@ class Poly:
     def parse(cls, text: str) -> "Poly":
         """Parse polynomial text: sums, products and powers of 0, 1, x, hex
         masks and parenthesized expressions (grammar in the module docstring)."""
-        return cls(_ExprParser(text).parse())
+        return cls(_parse_mask(text))
 
     # -- ring operations ---------------------------------------------------
 
