@@ -1,5 +1,6 @@
-"""Smoke tests of the benchmark harness: untraced scan20 and factor-mix runs
-as the benchmark runs them, one traced scan20 and one traced classify round.
+"""Smoke tests of the benchmark harness: untraced scan20, factor-mix and
+classify runs as the benchmark runs them, one traced scan20 and one traced
+classify round.
 The factor-mix run checks `is_irreducible` against the trial division in
 `bench/workloads.py` on its degree-16 inputs.
 
@@ -47,6 +48,10 @@ def test_untraced_scan20_run_reports_the_end_to_end_metrics():
 
 def test_untraced_factor_mix_run():
     _metrics("factor-mix", 0)
+
+
+def test_untraced_classify_run():
+    _metrics("classify", 0)
 
 
 def test_traced_scan20_round():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import random
 from functools import reduce
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -325,6 +327,26 @@ class TestPipeline:
                 assert compute_sigma_exponents(ExponentTuple(exps)) == ExponentTuple(sigma_exps)
                 assert [exps[p] for p in solved] == [sigma_exps[p] for p in solved]
                 assert 1 <= exps[0] <= exps[1]
+
+    def test_step_rows_are_pinned(self):
+        """The ordered rows of steps 1 and 2, hashed as one hex line per row."""
+        s1 = pipeline_step1()
+        for rows, digest in ((s1, "61fd30b53be9ad649ff4b7459536fc74ee24d44d56ac5d2141a63cb31038641d"),
+                             (pipeline_step2(s1), "bef3edd96a7284202683ca789a027cd4e474d8269c1fdfa91becf1919fac5f56")):
+            assert hashlib.sha256("\n".join(format(row, "x") for row in rows).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("k", range(len(search._RUNS)))
+    def test_run_sums_match_the_product_of_the_boxes(self, k):
+        """Each run's table equals the one built point by point over the
+        product of its boxes: the point packed in place in S, mapped to the
+        point in A plus the sum of its vectors."""
+        first, count = search._RUNS[k]
+        system = search._sigma_system()[first:first + count]
+        reference = {}
+        for exps in product(*system):
+            key = sum(e << (search._W * q) for q, e in enumerate(exps, first))
+            reference[key] = (key << search._SPAN) + sum(map(dict.__getitem__, system, exps))
+        assert search._run_sums(k) == reference
 
     def test_step_counts_recomputed_from_stages(self):
         s1 = pipeline_step1()
