@@ -44,7 +44,6 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from typing import Iterable
 
 from .gf2poly import Poly, _bar, _divide_out, _divmod, _mod, _mul, _popcount, _pow
@@ -88,9 +87,8 @@ _TOPS = (4, 4, 4, 3, 3, 5, 5, 3, *(1,) * (_SHAPE_STYPES - 1))
 # The pipeline fixes the shape primes in runs (first index, count): step 1
 # enumerates x, x+1, M_1 and solves M_2, M_3; step 2 solves S_1..S_8; step 3
 # solves M_4, M_5.  Each solved run's equations read only the primes of the
-# runs before it (tested), so its exponents are a slice of their packed sum.
-# A row is one int A << _SPAN | S: A packs the exponents fixed so far (0 for
-# the rest) and S the sum of their vectors, the exponents of sigma of them.
+# runs before it (tested), so its exponents are a slice of S in a row
+# A << _SPAN | S, one int: the sum of one `_increments` entry per fixed prime.
 _RUNS = ((0, 3), (3, 2), (7, 8), (5, 2))
 
 
@@ -169,10 +167,6 @@ class ExponentTuple:
 # of a sum is at most v_Q(sigma(A)) <= deg A, below 2^_W over the box (tested).
 _W = 16
 _SPAN = _W * len(_TOPS)  # a pipeline row's A starts at this bit
-
-
-def _pack(exps: Iterable[int]) -> int:
-    return sum(e << (_W * q) for q, e in enumerate(exps))
 
 
 def _unpack(packed: int) -> tuple[int, ...]:
@@ -268,15 +262,20 @@ def sigma_s_table() -> list[SigmaTableRow]:
 # ---------------------------------------------------------------------------
 
 
+def _increments(q: int) -> dict[int, int]:
+    """Map each e of shape prime q's box to the row increment fixing it: e in q's field of A, its vector in S."""
+    return {e: (e << (_W * q + _SPAN)) + v for e, v in _sigma_system()[q].items()}
+
+
 @cache
 def _run_sums(k: int) -> dict[int, int]:
-    """Map each point of the boxes of _RUNS[k], packed in place in S, to the
-    row increment that fixes it: the point in A plus the sum of its vectors
-    in S.  Built once per k; the callers only read it."""
+    """The sumset of _RUNS[k]'s increments, keyed by their A part: each point of the
+    run's boxes as S packs it.  Built once per k; the callers only read it."""
     first, count = _RUNS[k]
-    system = _sigma_system()[first:first + count]
-    return {key: (key << _SPAN) + sum(map(dict.__getitem__, system, exps))
-            for exps in product(*system) for key in (_pack(exps) << (_W * first),)}
+    rows = [0]
+    for q in range(first, first + count):
+        rows = [row + inc for row in rows for inc in _increments(q).values()]
+    return {row >> _SPAN: row for row in rows}
 
 
 def _solve_run(rows: Iterable[int], k: int) -> list[int]:
@@ -294,10 +293,11 @@ def _solve_run(rows: Iterable[int], k: int) -> list[int]:
 
 
 def pipeline_step1() -> list[int]:
-    """Rows with a, b, c_1 enumerated, 1 <= a <= b, and c_2, c_3 solved."""
-    vx, vx1, vm1 = _sigma_system()[:3]  # _RUNS[0], A = _pack((a, b, c))
-    return _solve_run((((a | b << _W | c << 2 * _W) << _SPAN) + va + vb + vc for a, va in vx.items()
-                       for b, vb in vx1.items() if 1 <= a <= b for c, vc in vm1.items()), 1)
+    """Rows with a, b, c_1 enumerated, 1 <= a <= b, and c_2, c_3 solved: each is
+    an (a, b) pair of increments, summed once, plus an M_1 increment."""
+    ix, ix1, im1 = map(_increments, range(3))  # _RUNS[0]
+    pairs = [ra + rb for a, ra in ix.items() for b, rb in ix1.items() if 1 <= a <= b]
+    return _solve_run((pair + rc for pair in pairs for rc in im1.values()), 1)
 
 
 def pipeline_step2(step1: list[int]) -> list[int]:
