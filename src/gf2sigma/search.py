@@ -87,8 +87,8 @@ _TOPS = (4, 4, 4, 3, 3, 5, 5, 3, *(1,) * (_SHAPE_STYPES - 1))
 # The pipeline fixes the shape primes in runs (first index, count): step 1
 # enumerates x, x+1, M_1 and solves M_2, M_3; step 2 solves S_1..S_8; step 3
 # solves M_4, M_5.  Each solved run's equations read only the primes of the
-# runs before it (tested), so its exponents are a slice of S in a row
-# A << _SPAN | S, one int: the sum of one `_increments` entry per fixed prime.
+# runs before it (tested), so its exponents are a slice of S in a row, one
+# int A << _SPAN | S that sums one `_increments` entry per fixed prime.
 _RUNS = ((0, 3), (3, 2), (7, 8), (5, 2))
 
 
