@@ -37,6 +37,32 @@ from gf2sigma.sigma import _geom_sum, _split_2adic, is_perfect, sigma_prime_powe
 
 THEOREM_GOLDEN = Path(__file__).parent / "data" / "theorem_golden.json"
 
+# (nodes, SHA-256) of the scan's node sequence and results for D = 1..22
+SCAN_NODE_DIGESTS = {
+    1: (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    2: (2, "a07547d78f18ee7575c8d036a9d6d757011eec553503f14d7fbe303d7481fc95"),
+    3: (2, "a07547d78f18ee7575c8d036a9d6d757011eec553503f14d7fbe303d7481fc95"),
+    4: (4, "029b0c33765daa567dbfd84403d9fcf19fdfe235a6ac81106f3223d9f78765e2"),
+    5: (8, "3a18279331f71845e9fdccfb6dc80fb1867466bd27cc8c099b93304512ad977d"),
+    6: (12, "1b05d7bbc3510e8c97007119786fa8d24949de5e12995fe84ae07653c7bad5cb"),
+    7: (12, "1b05d7bbc3510e8c97007119786fa8d24949de5e12995fe84ae07653c7bad5cb"),
+    8: (19, "4d2cf781e9ab00fb6a516fe998e060a8e250b1f5a49b20921bd55cc4b9d836ec"),
+    9: (21, "80826206daae20cfa2086edb7b36b3de3944eb79ce53b25e665e915aa3a018a8"),
+    10: (31, "cb5609dfef3950981ce17d38100570abc7478dcf7f3b3a60d41a6866d73ecdcf"),
+    11: (47, "b056ef42703bc0bdc0f77ec948d2f93e178bb1ba485f8120b1d38af7f3f9fd2f"),
+    12: (70, "ee0614b4cc643e4983d11661119bdb933aa06c605bf579556063bb019d47c1d6"),
+    13: (88, "31e57938af1da627beb57ef4909fd565ce51327f6e50a2318e8fcf255874bb01"),
+    14: (118, "7abc0c553819da63ad72a9e8a28dd653351677ad80db65c865f789b0a4fc1691"),
+    15: (161, "b59d06c9c5daa9913ddd405581eed37b703bf6c2e33760666e0c946f6f6dfcf5"),
+    16: (217, "3b4db05ee96554a091054c4b6517bec23c2c2fa0f6bc0ac55564009d2e979f21"),
+    17: (271, "42aff276b1d47ff2755c17a4a2975d5bc22a092d088a868be73e1a0f2d9ee750"),
+    18: (349, "f2f3272d865f4300c9ba873cd28b1a1ff8e6c77f38d678e203e11f0edce6bc72"),
+    19: (419, "9847ead1006491dc84989c5246d521b70504974da69798b11096594f32484ee0"),
+    20: (550, "05a0f0ebeccc05d6f9275954441999a791e61edf290e15699965c75f82731070"),
+    21: (704, "5bbf296ceb7feee9032568582b9329c2aa925772557f0a778cdbfaa943b61713"),
+    22: (911, "291c08efbd439ad610d31f792cb93ac2114855600ea63f3c25e189a2552d8f00"),
+}
+
 
 def rows_as_name_maps(rows, names):
     """[(base_name, exponent, {prime_name: multiplicity})] for a table."""
@@ -495,6 +521,23 @@ class TestScanPruning:
         """The deficit-state scan against the gcd-state reference DFS."""
         got = [p.mask for p in exhaustive_scan(max_degree)]
         assert got == oracles.reference_perfect_scan(max_degree)
+
+    @pytest.mark.parametrize("max_degree", sorted(SCAN_NODE_DIGESTS))
+    def test_node_sequence_is_pinned(self, max_degree, monkeypatch):
+        """The DFS tests each child it forms with `_rest_ok` once, in DFS
+        order; the ordered (idx, r) list and the results are hashed as one
+        line per node, then the results' hex masks."""
+        nodes = []
+        rest_ok = search._rest_ok
+
+        def record(idx, r):
+            nodes.append(f"{idx} {r:x}")
+            return rest_ok(idx, r)
+
+        monkeypatch.setattr(search, "_rest_ok", record)
+        results = " ".join(p.to_hex() for p in exhaustive_scan(max_degree))
+        digest = hashlib.sha256("\n".join([*nodes, results]).encode()).hexdigest()
+        assert (len(nodes), digest) == SCAN_NODE_DIGESTS[max_degree]
 
     def test_workers_equal_reference_scan(self):
         """The pool's tasks are the root's children (none at D = 1)."""
