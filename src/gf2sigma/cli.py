@@ -28,6 +28,7 @@ import os
 import stat
 import sys
 import tempfile
+from typing import Mapping
 
 from . import __version__
 from .gf2poly import Poly, parse_expr
@@ -135,11 +136,7 @@ SCHEMAS: dict[str, dict] = {
 # ---------------------------------------------------------------------------
 
 
-def _names() -> dict[Poly, str]:
-    return dict(_catalog().names_by_poly)
-
-
-def _factor_items(f: Factorization, names: dict[Poly, str]) -> list[dict]:
+def _factor_items(f: Factorization, names: Mapping[Poly, str]) -> list[dict]:
     return [
         {
             "poly": str(p),
@@ -207,7 +204,7 @@ def _factor_input(text: str) -> Poly:
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     p = _factor_input(args.poly)
-    names = _names()
+    names = _catalog().names_by_poly
     f = factor(p)
     data = {
         "input": args.poly,
@@ -224,7 +221,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
     p = _factor_input(args.poly)
-    names = _names()
+    names = _catalog().names_by_poly
     sv = sigma(p)
     data = {
         "input": args.poly,
@@ -373,20 +370,18 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    names = _names()
+    names = _catalog().names_by_poly
     results = exhaustive_scan(args.max_degree, workers=args.workers)
-    items = []
-    for p in results:
-        f = factor(p)
-        items.append(
-            {
-                "poly": str(p),
-                "hex": p.to_hex(),
-                "degree": p.degree,
-                "rendered": f.render(names),
-                "indecomposable": is_indecomposable_perfect(p, f),
-            }
-        )
+    items = [
+        {
+            "poly": str(p),
+            "hex": p.to_hex(),
+            "degree": p.degree,
+            "rendered": factor(p).render(names),
+            "indecomposable": is_indecomposable_perfect(p),
+        }
+        for p in results
+    ]
     data = {
         "max_degree": args.max_degree,
         "workers": args.workers,

@@ -6,19 +6,19 @@ is shift-and-XOR over the set bits of the sparser operand, and squaring just
 spreads the bits apart.  The zero polynomial is the int 0 and its degree is
 the sentinel -1.
 
-Polynomial text has one grammar, read in one pass by :meth:`Poly.parse`
-and by the module functions :func:`parse` and :func:`parse_expr`, which are
-one function: sums, products and powers, as in "(x+1)^2*x+1", of the atoms 0,
-1, x, hex masks such as 0x13 and parenthesized expressions.  An exponent is a
-run of decimal digits, Unicode ones included.  Whitespace may separate tokens
-but not split one, so "x^3 7" is an error.  A degree above MAX_PARSE_DEGREE
-(65536), an exponent of more than 5 digits or parentheses nested deeper than
-100 are refused; every refusal is a :class:`ParseError` carrying the
-offending position, and a character that starts no token is reported before
-any other error.  Both printed forms, str(p) and p.to_hex(), parse back to p.
+Polynomial text has one grammar, read in one pass by :meth:`Poly.parse` and
+by the module function :func:`parse_expr`, which calls it: sums, products
+and powers, as in "(x+1)^2*x+1", of the atoms 0, 1, x, hex masks such as
+0x13 and parenthesized expressions.  An exponent is a run of decimal digits,
+Unicode ones included.  Whitespace may separate tokens but not split one, so
+"x^3 7" is an error.  A degree above MAX_PARSE_DEGREE (65536), an exponent
+of more than 5 digits or parentheses nested deeper than 100 are refused;
+every refusal is a :class:`ParseError` carrying the offending position, and
+a character that starts no token is reported before any other error.  Both
+printed forms, str(p) and p.to_hex(), parse back to p.
 
 The public surface is the immutable :class:`Poly` wrapper, its constants
-ZERO, ONE and X, ParseError, gcd, parse and parse_expr; the
+ZERO, ONE and X, ParseError, gcd and parse_expr; the
 underscore-prefixed int-level helpers are shared with the sibling modules,
 which run their hot loops on raw masks.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["Poly", "ParseError", "gcd", "parse", "parse_expr", "X", "ONE", "ZERO"]
+__all__ = ["Poly", "ParseError", "gcd", "parse_expr", "X", "ONE", "ZERO"]
 
 # Largest degree a '^' power, a '*' product, an 'x^k' term or a hex mask may
 # reach in parsed text.  Text such as "x^1000000000" is short but its
@@ -396,12 +396,9 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return Poly(_gcd(p.mask, q.mask))
 
 
-def parse(text: str) -> Poly:
-    """Module-level alias of :meth:`Poly.parse`."""
+def parse_expr(text: str) -> Poly:
+    """Module-level form of :meth:`Poly.parse`; the CLI parses through this name."""
     return Poly.parse(text)
-
-
-parse_expr = parse  # public alias; the CLI parses through this name
 
 
 ZERO = Poly(0)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Iterable
 
 from .gf2poly import Poly, _bar, _divide_out, _divmod, _mod, _mul, _popcount, _pow
@@ -413,9 +413,6 @@ def run_pipeline() -> SearchReport:
 # exhaustive scan
 # ---------------------------------------------------------------------------
 
-_SCAN_PRIMES: list[int] = []  # per-process state for worker tasks
-
-
 def _rest_ok(idx: int, r: int) -> bool:
     """The divisibility rule's prime tests at a node of primes[0..idx].
 
@@ -492,15 +489,12 @@ def _scan_children(primes: list[int], i0: int, a: int, r: int, w: list[tuple[int
         # p must not divide r', so e >= v; deg r' = dr - v*dp + e*dp - deg gcd(sigma(p^e), w)
         e0 = max(v + v % step, step)
         base = dr - v * dp - budget
-        pstep, add = (p, 1) if step == 1 else (_mul(p, p), p ^ 1)
-        se = 0
         for e in range(e0, cap // dp + 1, step):
             need = base + 2 * e * dp  # deg gcd(sigma(p^e), w) must reach this
             if need > dr or need > e * dp:  # deg gcd <= min(deg w, deg sigma(p^e)), and need grows faster
                 break
-            # sigma(p^(e+step)) = sigma(p^e) * p^step + sigma(p^(step-1))
-            se = _mul(se, pstep) ^ add if se else _geom_sum(p, e)
-            s1, left, dg = _cancel(se, w)
+            # sigma(p^e) is formed for each e on its own: most loops end at their first e
+            s1, left, dg = _cancel(_geom_sum(p, e), w)
             if dg < need:
                 continue
             if e > v:
@@ -510,14 +504,9 @@ def _scan_children(primes: list[int], i0: int, a: int, r: int, w: list[tuple[int
             break
 
 
-def _scan_task_init(primes: list[int]) -> None:
-    global _SCAN_PRIMES
-    _SCAN_PRIMES = primes
-
-
-def _scan_task(task: tuple) -> list[int]:
+def _scan_task(primes: list[int], task: tuple) -> list[int]:
     out: list[int] = []
-    _scan_node(_SCAN_PRIMES, *task, out)
+    _scan_node(primes, *task, out)
     return out
 
 
@@ -606,7 +595,7 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1) -> list[Poly]:
         import multiprocessing  # only the pool path pays for this import
         tasks: list[tuple] = []  # each child of the root is a task: its node state but primes and out
         _scan_children(primes, 0, 1, 1, [], max_degree, half, tasks, lambda _, *node: tasks.append(node[:-1]))
-        with multiprocessing.Pool(workers, initializer=_scan_task_init, initargs=(primes,)) as pool:
-            for chunk in pool.imap_unordered(_scan_task, tasks):
+        with multiprocessing.Pool(workers) as pool:
+            for chunk in pool.imap_unordered(partial(_scan_task, primes), tasks):
                 found.extend(chunk)
     return [Poly(m) for m in sorted(found)]

@@ -85,25 +85,17 @@ def is_perfect(a: Poly) -> bool:
     return reduce(_mul, (_geom_sum(q, e) for q, e in _factor_mask(a.mask)), 1) == a.mask
 
 
-def _perfect_verdict(a: Poly, factored: Factorization | None = None) -> tuple[int, bool | None]:
-    """(sigma(a), indecomposable or None when a is not perfect), factoring a at most once.
+def _perfect_verdict(a: Poly) -> tuple[int, bool | None]:
+    """(sigma(a), indecomposable or None when a is not perfect), factoring a once.
 
-    factored, when given, is used in place of factoring a again; it is
-    checked to be a's prime factorization.  sigma is multiplicative,
-    so if a proper nonempty subset of the prime-power factors multiplies to a
-    perfect polynomial, the complementary subset does too; checking subsets
-    is exactly the decomposability test.
+    sigma is multiplicative, so if a proper nonempty subset of the
+    prime-power factors multiplies to a perfect polynomial, the
+    complementary subset does too; checking subsets is exactly the
+    decomposability test.
     """
     if not a.mask:
         raise ValueError("perfectness of the zero polynomial is undefined")
-    if factored is None:
-        parts = _factor_mask(a.mask)
-    else:
-        parts = [(q.mask, e) for q, e in factored]
-        masks = [q for q, _ in parts]
-        if (factored.value() != a or masks != sorted(set(masks))
-                or not all(e >= 1 and q > 1 and _is_irreducible_mask(q) for q, e in parts)):
-            raise ValueError(f"factored is not the prime factorization of {a}")
+    parts = _factor_mask(a.mask)
     sums = [_geom_sum(q, e) for q, e in parts]
     value = reduce(_mul, sums, 1)
     if value != a.mask:
@@ -122,13 +114,9 @@ def _perfect_verdict(a: Poly, factored: Factorization | None = None) -> tuple[in
     return value, True
 
 
-def is_indecomposable_perfect(a: Poly, factored: Factorization | None = None) -> bool:
-    """True iff perfect and no proper coprime split into perfects exists.
-
-    Pass a's factorization as factored when it is already known, so a is
-    not factored again.
-    """
-    indecomposable = _perfect_verdict(a, factored)[1]
+def is_indecomposable_perfect(a: Poly) -> bool:
+    """True iff perfect and no proper coprime split into perfects exists."""
+    indecomposable = _perfect_verdict(a)[1]
     if indecomposable is None:
         raise ValueError(f"{a} is not perfect")
     return indecomposable

@@ -21,7 +21,7 @@ from gf2sigma.catalog import (
     one_plus_product,
 )
 from gf2sigma.factorizer import factor, is_irreducible, rad
-from gf2sigma.gf2poly import ONE, X, Poly, parse
+from gf2sigma.gf2poly import ONE, X, Poly, parse_expr
 from gf2sigma.sigma import is_perfect
 
 GOLDEN = Path(__file__).parent / "data" / "catalog_golden.json"
@@ -58,7 +58,7 @@ class TestRoster:
 
     def test_explicit_small_members(self, catalog):
         for name, text in expected.EXPLICIT_TEXT.items():
-            assert catalog[name].poly == parse(text)
+            assert catalog[name].poly == parse_expr(text)
             assert str(catalog[name].poly) == text
 
     def test_structural_forms(self, catalog):
@@ -171,7 +171,7 @@ class TestConjugationPartners:
 
 class TestOnePlusProduct:
     def test_matches_direct_construction(self):
-        q = parse("x^3+x+1")
+        q = parse_expr("x^3+x+1")
         assert one_plus_product(q, 2, 3, 2) == ONE + (X ** 2) * ((X + ONE) ** 3) * q ** 2
 
     def test_bar_swaps_the_linear_exponents(self):
@@ -252,7 +252,7 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             check_admissible([X])
         with pytest.raises(ValueError):
-            check_admissible([parse("x^2+1")])
+            check_admissible([parse_expr("x^2+1")])
         m1 = catalog["M_1"].poly
         with pytest.raises(ValueError):
             check_admissible([m1 * m1])

@@ -18,7 +18,7 @@ from gf2sigma import cli, factorizer
 from gf2sigma.catalog import build_catalog
 from gf2sigma.cli import SCHEMAS, main
 from gf2sigma.gf2poly import ParseError, parse_expr
-from gf2sigma.search import MAX_SCAN_CEILING, exhaustive_scan
+from gf2sigma.search import MAX_SCAN_CEILING
 
 sigma_module = importlib.import_module("gf2sigma.sigma")  # the package's sigma is the function
 
@@ -419,21 +419,6 @@ class TestScan:
         assert "GF2SIGMA_SCAN_CEILING must be" in err
         assert "max_degree" not in err
 
-    def test_each_result_is_factored_once(self, run, monkeypatch):
-        cli._names()  # the shared catalog, built before counting
-        real = factorizer._factor_mask
-        calls = []
-
-        def counting(m):
-            calls.append(m)
-            return real(m)
-
-        monkeypatch.setattr(factorizer, "_factor_mask", counting)
-        monkeypatch.setattr(sigma_module, "_factor_mask", counting)
-        code, out, _ = run("scan", "--max-degree", "12")
-        assert code == 0 and out.endswith("\n8 perfect polynomials of degree 1..12\n")
-        assert sorted(calls) == sorted(p.mask for p in exhaustive_scan(12))
-
     def test_bad_worker_count(self, run):
         code, _, err = run("scan", "--max-degree", "6", "--workers", "0")
         assert code == 1
@@ -482,12 +467,6 @@ class TestSharedState:
         assert code == 2 and "the following arguments are required: --max-degree" in err
         assert json.loads(out_json)["poly"] == "x^5+x^2"
         assert out_text == "x^5+x^2 = (x)^2 * (x+1) * M_1\n"
-
-    def test_names_returns_a_copy(self):
-        names = cli._names()
-        names.clear()
-        assert cli._names() == dict(catalog_module._catalog().names_by_poly)
-        assert len(cli._names()) == 39
 
     def test_import_builds_neither_parser_nor_catalog(self):
         child = (

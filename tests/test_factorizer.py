@@ -23,7 +23,7 @@ from gf2sigma.factorizer import (
     omega,
     rad,
 )
-from gf2sigma.gf2poly import ONE, X, ZERO, Poly, parse, parse_expr
+from gf2sigma.gf2poly import ONE, X, ZERO, Poly, parse_expr
 from gf2sigma.sigma import sigma_prime_power
 
 
@@ -176,7 +176,7 @@ def test_is_irreducible_basics():
     assert is_irreducible(X)
     assert is_irreducible(X + ONE)
     assert is_irreducible(Poly(0b111))
-    assert not is_irreducible(parse("x^2+1"))  # (x+1)^2
+    assert not is_irreducible(parse_expr("x^2+1"))  # (x+1)^2
     assert not is_irreducible(Poly(0b111) ** 2)
     for degenerate in (ZERO, ONE):
         with pytest.raises(ValueError):
@@ -229,7 +229,7 @@ def test_planted_factor_is_found(d, calls):
 
 @pytest.mark.parametrize("text", ["x^127+x+1", "x^521+x^32+1", "x^607+x^105+1"])
 def test_irreducible_trinomials_pay_at_most_the_bound_in_extra_gcds(text, calls):
-    p = parse(text)
+    p = parse_expr(text)
     assert is_irreducible(p)
     assert calls["_gcd"] <= len(factorizer._prime_divisors(p.degree)) + p.degree.bit_length()
 

@@ -478,9 +478,8 @@ class TestExhaustiveScan:
         started = []
 
         class FakePool:
-            def __init__(self, processes, initializer, initargs):
+            def __init__(self, processes):
                 started.append(processes)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -493,7 +492,6 @@ class TestExhaustiveScan:
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(search, "_SCAN_PRIMES", [])
         assert exhaustive_scan(12, workers=64) == exhaustive_scan(12)
         assert exhaustive_scan(12, workers=2) == exhaustive_scan(12)
         assert started == [3, 2]

@@ -7,8 +7,8 @@ import random
 import pytest
 
 import oracles
-from gf2sigma.factorizer import Factorization, factor
-from gf2sigma.gf2poly import ONE, X, ZERO, Poly, gcd, parse, parse_expr
+from gf2sigma.factorizer import factor
+from gf2sigma.gf2poly import ONE, X, ZERO, Poly, gcd, parse_expr
 from gf2sigma.sigma import (
     check_geometric_split,
     is_indecomposable_perfect,
@@ -81,7 +81,7 @@ def test_sigma_of_one_and_zero():
 
 
 def test_prime_power_equals_geometric_sum():
-    for p in [X, X + ONE, M1, parse("x^3+x+1")]:
+    for p in [X, X + ONE, M1, parse_expr("x^3+x+1")]:
         expect = ONE
         for k in range(1, 12):
             expect = expect * p + ONE  # 1 + p + ... + p^k, built up independently
@@ -93,7 +93,7 @@ def test_prime_power_validation():
     with pytest.raises(ValueError):
         sigma_prime_power(X, 0)
     with pytest.raises(ValueError):
-        sigma_prime_power(parse("x^2+1"), 2)
+        sigma_prime_power(parse_expr("x^2+1"), 2)
 
 
 def test_palindrome_of_sigma_x_even_powers_h_92():
@@ -131,13 +131,13 @@ def test_odd_prime_divisors_of_larger_perfects(t_polys):
 
 
 def test_geometric_split_identity():
-    for p in [X, X + ONE, M1, parse("x^4+x+1")]:
+    for p in [X, X + ONE, M1, parse_expr("x^4+x+1")]:
         for e in range(1, 25):
             assert check_geometric_split(p, e)
     with pytest.raises(ValueError):
         check_geometric_split(X, 0)
     with pytest.raises(ValueError):
-        check_geometric_split(parse("x^2+1"), 3)
+        check_geometric_split(parse_expr("x^2+1"), 3)
 
 
 def test_trivial_perfect_family():
@@ -163,14 +163,3 @@ def test_indecomposable_requires_perfect_input():
     with pytest.raises(ValueError):
         is_indecomposable_perfect(X)
 
-
-def test_indecomposable_reuses_a_given_factorization(t_polys):
-    for name, p in t_polys.items():
-        assert is_indecomposable_perfect(p, factor(p)), name
-    square = trivial_perfect(1) ** 2  # x^2(x+1)^2, not perfect
-    with pytest.raises(ValueError, match="not perfect"):
-        is_indecomposable_perfect(square, factor(square))
-    t = trivial_perfect(1)  # x(x+1)
-    for wrong in (factor(X), Factorization(((t, 1),)), Factorization(((X, 1), (X + ONE, 1), (X, 0)))):
-        with pytest.raises(ValueError, match="not the prime factorization"):
-            is_indecomposable_perfect(t, wrong)
