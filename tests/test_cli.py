@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import os
@@ -208,6 +209,13 @@ class TestCatalog:
         assert code == 0
         for name in ("M_1", "S_15", "T_11"):
             assert name in out
+
+    def test_export_text_is_pinned(self, run):
+        """One line per roster entry, in roster order, hashed whole."""
+        code, out, _ = run("catalog", "export")
+        assert code == 0
+        assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == (
+            39, "d22788a1cb17aaec1a4235a984432d8075f748d7bf4e998c97b0e4f12cdff593")
 
     def test_verify_and_export_rebuild_after_shared_catalog_is_warm(self, run, monkeypatch):
         """verify and export build afresh, so a broken roster fails them even

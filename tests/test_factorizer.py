@@ -15,6 +15,7 @@ import pytest
 import oracles
 from gf2sigma import factorizer, search
 from gf2sigma.factorizer import (
+    Factorization,
     _irreducible_masks,
     factor,
     irreducibles,
@@ -268,6 +269,36 @@ def test_factor_of_one_is_empty():
 def test_factor_of_zero_rejected():
     with pytest.raises(ValueError):
         factor(ZERO)
+
+
+def test_repeated_factor_outputs_are_pinned():
+    """q^k * r for k in {2, 3, 8, 16} and sigma(q^e) = (1+q)^e for e in
+    {3, 7, 15}, over seeded primes q of degree 32..256: the squarefree
+    decomposition's square roots and doubled multiplicities.  Each
+    factorization re-multiplies to its input and has irreducible factors; the
+    ordered "prime^exponent" lines are hashed."""
+    rng = random.Random(28)
+
+    def prime(d):
+        while True:
+            q = rng.getrandbits(d) | 1 << d | 1
+            if is_irreducible(Poly(q)):
+                return q
+
+    inputs = []
+    for d in (32, 64, 128, 256):
+        q = prime(d)
+        r = rng.getrandbits(24) | 1 << 24
+        inputs += [(Poly(q) ** k * Poly(r)).mask for k in (2, 3, 8, 16)]
+        inputs += [sigma_prime_power(Poly(q), e).mask for e in (3, 7, 15)]
+    lines = []
+    for m in inputs:
+        f = factorizer._factor_mask(m)
+        assert Factorization(tuple((Poly(q), e) for q, e in f)).value().mask == m
+        assert all(is_irreducible(Poly(q)) for q, _ in f)
+        lines.append(" ".join(f"{q:x}^{e}" for q, e in f))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (28, "ec80b6c5d301aeddab7ad6fe66c59ed84478236fdd37244d3f2ed901dca348ea")
 
 
 def test_render_uses_catalog_names(names):

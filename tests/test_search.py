@@ -125,6 +125,20 @@ class TestTables:
                     counts[names[q]] += 1
         assert counts == {f"S_{j}": 1 for j in range(2, 7)}
 
+    def test_rows_list_primes_in_roster_order(self, catalog, family):
+        """A row's factors come in roster order, not the (degree, mask) order
+        of `factor`; four rows differ between the two."""
+        out_of_mask_order = []
+        for r in self.all_rows(catalog):
+            primes = [q for q, _ in r.factorization]
+            assert primes == sorted(primes, key=family.index)
+            assert [q for q, _ in factor(r.factorization.value())] == sorted(primes)
+            if primes != sorted(primes):
+                out_of_mask_order.append((r.base_name, r.exponent))
+        assert out_of_mask_order == [("x", 14), ("x+1", 14), ("M_1", 14), ("S_1", 2)]
+        x14 = next(r for r in sigma_x2h_table() if (r.base_name, r.exponent) == ("x", 14))
+        assert [h for h, _ in x14.to_json()["factors"]] == ["0x7", "0x1f", "0x19", "0x13"]
+
     def test_row_json_shape(self, catalog):
         row = sigma_s_table()[0]
         data = row.to_json()
