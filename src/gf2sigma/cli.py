@@ -281,12 +281,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         _write_atomic(args.output, json.dumps(data, indent=2) + "\n")
         print(f"catalog written to {args.output}")
         return 0
-    if args.format == "json":
-        print(json.dumps(data, indent=2))
-    else:
-        for e in cat.entries:
-            star = e.star_partner or "-"
-            print(f"{e.name:5s} deg {e.degree:2d}  bar={e.bar_partner:5s} star={star:5s}  {e.poly}")
+    _emit(data, args.format, [f"{e.name:5s} deg {e.degree:2d}  bar={e.bar_partner:5s} "
+                              f"star={e.star_partner or '-':5s}  {e.poly}" for e in cat.entries])
     return 0
 
 

@@ -11,12 +11,12 @@ factor of degree <= i < d.  A reducible p with a factor of degree <= b, which
 a random or smooth input usually has, stops after at most b squarings
 instead of d; an irreducible p pays at most b extra gcds.
 
-Factorization runs squarefree decomposition (characteristic-2 aware: a
-vanishing derivative means the polynomial is a perfect square), then
-distinct-degree splitting, then equal-degree splitting with the trace map
-T(v) = v + v^2 + v^4 + ... + v^(2^(d-1)) swept over the basis monomials
-v = x, x^2, x^3, ...  No randomness anywhere: factor order is reproducible
-and results are always sorted by (degree, mask).
+Factorization loops over squarefree parts: while f != 1, f' = 0 means f is
+a square (characteristic 2), so f becomes its root and the multiplicity
+doubles; otherwise s = f / gcd(f, f'), the primes of odd multiplicity, is
+split by distinct-degree, then equal-degree splitting with the trace map
+T(v) = v + v^2 + ... + v^(2^(d-1)) over v = x, x^2, ..., and each prime is
+divided out of f in full, leaving a square.  `factor` sorts by (degree, mask).
 """
 
 from __future__ import annotations
@@ -125,32 +125,26 @@ def _factor_squarefree(s: int) -> list[int]:
     return out
 
 
-def _factor_into(f: int, mult: int, counts: dict[int, int]) -> None:
-    if f == 1:
-        return
-    fp = _derivative(f)
-    if fp == 0:
-        # only even-position bits set: f is the square of its de-interleave
-        _factor_into(_sqrt(f), 2 * mult, counts)
-        return
-    s = _divmod(f, _gcd(f, fp))[0]  # product of the odd-multiplicity primes
-    for q in _factor_squarefree(s):
-        f, e = _divide_out(f, q)
-        counts[q] = counts.get(q, 0) + e * mult
-    _factor_into(f, mult, counts)  # leftover: the even-multiplicity part
-
-
 def _factor_mask(m: int) -> list[tuple[int, int]]:
     if m == 0:
         raise ValueError("cannot factor the zero polynomial")
-    counts: dict[int, int] = {}
-    _factor_into(m, 1, counts)
-    return sorted(counts.items())  # mask order == (degree, mask) order
+    out = []
+    f, mult = m, 1  # m = f^mult * prod q^e over out, and no q of out divides f
+    while f != 1:
+        fp = _derivative(f)
+        if fp:  # divide out the odd-multiplicity primes in full; a square is left
+            for q in _factor_squarefree(_divmod(f, _gcd(f, fp))[0]):
+                f, e = _divide_out(f, q)
+                out.append((q, e * mult))
+        else:  # only even-position bits set: f is the square of its de-interleave
+            f, mult = _sqrt(f), 2 * mult
+    return sorted(out)  # mask order == (degree, mask) order
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """Prime factorization as an ordered tuple of (prime, exponent) pairs."""
+    """Prime factorization as a tuple of (prime, exponent) pairs in its producer's order:
+    (degree, mask) from `factor` and `sigma`, roster order in `search.SigmaTableRow`."""
 
     factors: tuple[tuple[Poly, int], ...]
 
@@ -179,7 +173,7 @@ class Factorization:
         return " * ".join(parts)
 
     def to_json(self) -> list[list]:
-        """JSON form: [[hexmask, exponent], ...] in canonical order."""
+        """JSON form: [[hexmask, exponent], ...] in the order of `factors`."""
         return [[p.to_hex(), e] for p, e in self.factors]
 
 

@@ -44,7 +44,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .gf2poly import Poly, _bar, _divide_out, _divmod, _mod, _mul, _popcount, _pow
 from .factorizer import MAX_SIEVE_DEGREE, Factorization, _irreducible_masks
@@ -218,7 +218,7 @@ def compute_sigma_exponents(t: ExponentTuple) -> ExponentTuple:
 
 @dataclass(frozen=True)
 class SigmaTableRow:
-    """One table row: sigma(base^exponent) factored over the family."""
+    """One table row: sigma(base^exponent) factored over the family, its primes in roster order."""
 
     base_name: str
     base: Poly
@@ -334,7 +334,6 @@ class SearchReport:
     closure_names: tuple[str, ...]
 
     def to_json(self) -> dict:
-        names = _catalog().names_by_poly
         return {
             "counts": {
                 "step1": self.step1_count,
@@ -354,8 +353,8 @@ class SearchReport:
             ],
             "perfect_survivors": [p.to_hex() for p in self.perfect_survivors],
             "closure": [
-                {"name": names.get(p, ""), "hex": p.to_hex(), "poly": str(p)}
-                for p in self.closure
+                {"name": name, "hex": p.to_hex(), "poly": str(p)}
+                for p, name in zip(self.closure, self.closure_names)
             ],
             "closure_names": list(self.closure_names),
         }
@@ -452,29 +451,29 @@ def _cancel(se: int, w: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int
     return se, left, dg
 
 
-def _scan_node(primes: list[int], idx: int, a: int, r: int, w: list[tuple[int, int]], budget: int,
-               half: int, out: list[int]) -> None:
+def _scan_node(primes: list[int], node: tuple, out: list[int]) -> None:
     """Record a if perfect, then visit its children unless the divisibility rule rules them out."""
+    idx, a, r, w, budget = node
     if not _rest_ok(idx, r):
         return
     if r == 1:
         out.append(a)
     if budget:
-        _scan_children(primes, idx + 1, a, r, w, budget, half, out)
+        for child in _scan_children(primes, idx + 1, a, r, w, budget):
+            _scan_node(primes, child, out)
 
 
-def _scan_children(primes: list[int], i0: int, a: int, r: int, w: list[tuple[int, int]], budget: int,
-                   half: int, out: list, visit=_scan_node) -> None:
-    """Visit a * p^e for each primes[i0:] p and e that the rules allow.
+def _scan_children(primes: list[int], i0: int, a: int, r: int, w: list[tuple[int, int]], budget: int) -> Iterator:
+    """Yield the node state (idx, a * p^e, r', w', budget') of each child a * p^e,
+    p = primes[idx] with idx >= i0, that the rules allow.
 
     (r, w) is a's deficit pair, deg r = deg w.  p is the smallest prime of
     the rest, so it has degree at most deg r when r != 1, and no prime after
     the first one dividing r can be it.  The child's deg r' is tested before
-    its pair is formed.  visit gets each child's node state; the pool path
-    collects the root's children with it as tasks.
+    its pair is formed.  D = deg a + budget at every node.
     """
     dr = r.bit_length() - 1
-    cap = min(budget, half)  # e * deg p <= cap: the budget and the half-degree rule
+    cap = min(budget, (a.bit_length() - 1 + budget) // 2)  # e * deg p <= cap: the budget and the half-degree rule on D
     top = cap if r == 1 else min(cap, dr)
     steps = (1, _exponent_step(a, 1), _exponent_step(a, 2))
     for idx in range(i0, len(primes)):
@@ -499,14 +498,14 @@ def _scan_children(primes: list[int], i0: int, a: int, r: int, w: list[tuple[int
                 continue
             if e > v:
                 left.append((p, e - v))
-            visit(primes, idx, _mul(a, _pow(p, e)), _mul(rest, s1), left, budget - e * dp, half, out)
+            yield idx, _mul(a, _pow(p, e)), _mul(rest, s1), left, budget - e * dp
         if v:
             break
 
 
 def _scan_task(primes: list[int], task: tuple) -> list[int]:
-    out: list[int] = []
-    _scan_node(primes, *task, out)
+    out: list[int] = []  # one list per task: a pool worker runs many
+    _scan_node(primes, task, out)
     return out
 
 
@@ -575,9 +574,11 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1) -> list[Poly]:
     and a & 1, and lacks x+1 when idx >= 2 and a has odd weight.
 
     max_degree is capped at 24; the GF2SIGMA_SCAN_CEILING environment
-    variable sets another cap from 1 up to MAX_SCAN_CEILING.  workers is
-    capped at os.cpu_count(); above 1, each child of the root is one pool
-    task, so the pool splits only the DFS and the sieve runs in this process.
+    variable sets another cap from 1 up to MAX_SCAN_CEILING.  The sieve runs
+    in this process, and the root's children are the tasks: 12, 28, 43 and
+    44 of them at D = 12, 20, 24 and 26.  One worker runs them in order; more
+    share them out over a pool, workers capped at os.cpu_count().  Both
+    paths run the same tasks, each a DFS of its own subtree.
     """
     ceiling = _scan_ceiling()
     if not 1 <= max_degree <= ceiling:
@@ -585,17 +586,13 @@ def exhaustive_scan(max_degree: int, *, workers: int = 1) -> list[Poly]:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    half = max_degree // 2
     primes = _irreducible_masks(max_degree)
-    primes = primes[:bisect_left(primes, 1 << (half + 1))].tolist()  # the half-degree rule
-    found: list[int] = []
+    primes = primes[:bisect_left(primes, 1 << (max_degree // 2 + 1))].tolist()  # the half-degree rule
+    tasks = list(_scan_children(primes, 0, 1, 1, [], max_degree))
     if workers <= 1:
-        _scan_children(primes, 0, 1, 1, [], max_degree, half, found)
+        chunks = list(map(partial(_scan_task, primes), tasks))
     else:
         import multiprocessing  # only the pool path pays for this import
-        tasks: list[tuple] = []  # each child of the root is a task: its node state but primes and out
-        _scan_children(primes, 0, 1, 1, [], max_degree, half, tasks, lambda _, *node: tasks.append(node[:-1]))
         with multiprocessing.Pool(workers) as pool:
-            for chunk in pool.imap_unordered(partial(_scan_task, primes), tasks):
-                found.extend(chunk)
-    return [Poly(m) for m in sorted(found)]
+            chunks = list(pool.imap_unordered(partial(_scan_task, primes), tasks))
+    return [Poly(m) for m in sorted(m for chunk in chunks for m in chunk)]

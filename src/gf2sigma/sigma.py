@@ -80,9 +80,7 @@ def sigma(a: Poly) -> SigmaValue:
 
 def is_perfect(a: Poly) -> bool:
     """True iff sigma(a) = a."""
-    if not a.mask:
-        raise ValueError("perfectness of the zero polynomial is undefined")
-    return reduce(_mul, (_geom_sum(q, e) for q, e in _factor_mask(a.mask)), 1) == a.mask
+    return _perfect_verdict(a)[1] is not None
 
 
 def _perfect_verdict(a: Poly) -> tuple[int, bool | None]:
