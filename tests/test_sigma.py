@@ -80,6 +80,12 @@ def test_sigma_of_one_and_zero():
         sigma(ZERO)
 
 
+@pytest.mark.parametrize("test", [is_perfect, is_indecomposable_perfect])
+def test_perfectness_of_zero_is_refused(test):
+    with pytest.raises(ValueError, match="^perfectness of the zero polynomial is undefined$"):
+        test(ZERO)
+
+
 def test_prime_power_equals_geometric_sum():
     for p in [X, X + ONE, M1, parse_expr("x^3+x+1")]:
         expect = ONE
