@@ -286,6 +286,12 @@ class TestExponentFormulas:
         degrees = [t.degree for t in _sigma_exponent_targets(catalog)]
         assert sum(max(vectors) * d for vectors, d in zip(search._sigma_system(), degrees)) < 1 << search._W
 
+    def test_generated_system_is_pinned(self):
+        """Every box's exponents and packed vectors, in order, hashed as JSON."""
+        text = json.dumps([list(vectors.items()) for vectors in search._sigma_system()])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "09be9587507eca2d11333139d5c2891c54a658cd4f851c1af544cf03661cc496")
+
     def test_boxes_equal_the_frozen_boxes(self):
         """The boxes derived from the splits and the runs, in order."""
         boxes = [[(1 << t) * s - 1 for t in range(top + 1) for s in odds] for top, odds in expected.SEARCH_BOXES]

@@ -1,19 +1,23 @@
 """The order-profile routine behind the sigma tables and admissibility.
 
 `_even_sigma_valuations` is cross-checked against oracle long division, on
-the roster exhaustively and on seeded non-roster bases where squares divide
-sigma(T^2h).  `tables` and `admissible` are pinned byte for byte to
-`tests/data/splits_golden.json`, and stepping h past the derived bound of
-`_even_sigma_splits` is shown to change nothing.
+the roster exhaustively, on seeded non-roster bases where squares divide
+sigma(T^2h), and on one case per branch of its loop; its output over a seeded
+grid is pinned by SHA-256.  `tables` and `admissible` are pinned byte for
+byte to `tests/data/splits_golden.json`, and stepping h past the derived
+bound of `_even_sigma_splits` is shown to change nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
 from pathlib import Path
+
+import pytest
 
 import oracles
 from gf2sigma import catalog as catalog_module
@@ -87,6 +91,64 @@ def test_repeated_factors_match_oracle(family):
                 assert splits.get(h) == want, (t, h)
                 repeated_splits += any(v > 1 for _, v in want)
     assert repeated >= 20 and repeated_splits >= 2, (repeated, repeated_splits)
+
+
+# (T, q, h_count, the (h, v_q(sigma(T^2h))) with v > 0).  The order of T mod
+# q divides 2^deg q - 1; every T = x row has order 2^deg q - 1 or, for 0x57,
+# 21 of 2^6 - 1 = 63.
+BRANCH_CASES = {
+    "q = T": (0x7, 0x7, 12, []),
+    "q divides T + 1": (0x13, 0x7, 12, []),  # x^4+x+1 + 1 = x(x+1)M_1
+    "prime 2^7 - 1 above n_max": (0x2, 0x83, 62, []),
+    "prime 2^7 - 1 at n_max": (0x2, 0x83, 63, [(63, 1)]),
+    "prime 2^13 - 1 above n_max": (0x2, 0x201B, 4094, []),
+    "prime 2^13 - 1 at n_max": (0x2, 0x201B, 4095, [(4095, 1)]),
+    "order 63 above the divisor 21": (0x2, 0x43, 30, []),
+    "order 21 above the divisor 9": (0x2, 0x57, 9, []),
+    "order 21 at n_max": (0x2, 0x57, 10, [(10, 1)]),
+    "square divides": (0x2F, 0x7, 12, [(1, 2), (4, 2), (7, 2), (10, 2)]),
+}
+
+
+def _oracle_valuations(t: int, q: int, h_count: int) -> list[int]:
+    """v_q(sigma(T^2h)) for h = 1..h_count by long division, stepping
+    sigma(T^2h) modulo q^4, which none of these cases' sigmas is divisible by."""
+    m = oracles.pow_(q, 4)
+    t2, acc, out = oracles.divmod_(oracles.mul(t, t), m)[1], 1, []
+    for _ in range(h_count):
+        acc = oracles.divmod_(oracles.mul(acc, t2) ^ t ^ 1, m)[1]
+        assert acc
+        out.append(oracles.valuation(acc, q))
+    return out
+
+
+@pytest.mark.parametrize("case", BRANCH_CASES)
+def test_branch_cases_match_oracle(case):
+    """One (T, q) per branch of the order loop: q = T, q | T + 1, the order
+    equal to a prime 2^k - 1 with n_max on either side of it, an order above
+    the largest divisor of 2^k - 1 within n_max, and a square of q dividing."""
+    t, q, h_count, hits = BRANCH_CASES[case]
+    assert all(oracles.divmod_(q, p)[1] for p in oracles.sieve_irreducibles(oracles.degree(q) // 2))
+    want = _oracle_valuations(t, q, h_count)
+    assert [(h, v) for h, v in enumerate(want, 1) if v] == hits
+    assert list(_even_sigma_valuations(t, [q], h_count)) == [(h, [(q, v)] if v else []) for h, v in enumerate(want, 1)]
+
+
+# h_count per grid base, cycled; n_max = 2h + 1 reaches 127 = 2^7 - 1 and 129
+GRID_H_COUNTS = (1, 3, 6, 10, 2, 63, 4, 8, 5, 64)
+GRID_DIGEST = "827759dc7a186c5f1393bf22fe2e22a2c61ab2aae0364946dc7bf11ae68feb06"
+
+
+def test_valuations_grid_is_pinned(family):
+    """x, x+1, the roster and 30 seeded non-roster irreducibles of degree
+    <= 12, each over every irreducible of degree <= 12 at one h_count:
+    the yielded profiles, hashed as JSON."""
+    small = oracles.sieve_irreducibles(12)
+    roster = [p.mask for p in family]
+    bases = [2, 3] + roster + random.Random(29).sample([t for t in small if t > 3 and t not in roster], 30)
+    rows = [[t, h_count, list(_even_sigma_valuations(t, small, h_count))]
+            for i, t in enumerate(bases) for h_count in [GRID_H_COUNTS[i % len(GRID_H_COUNTS)]]]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GRID_DIGEST
 
 
 def test_tables_and_admissible_match_golden():
