@@ -30,7 +30,7 @@ from math import gcd as _int_gcd
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .gf2poly import Poly, _bar, _derivative, _divide_out, _mod, _mul, _pow, _sqr, _star
+from .gf2poly import Poly, _bar, _derivative, _divide_out, _mod, _mul, _pow, _pow_mod, _sqr, _star
 from .factorizer import _is_irreducible_mask
 from .sigma import _geom_sum
 
@@ -323,28 +323,41 @@ def _even_sigma_valuations(bm: int, masks: Iterable[int], h_count: int) -> Itera
     """Yield (h, [(q, v_q(sigma(bm^2h))), ...]) for h = 1..h_count over the
     distinct prime masks q that divide sigma(bm^2h), in the order of masks.
 
-    sigma(bm^2h) = (bm^n + 1)/(bm + 1) with n = 2h + 1.  Step r <- r*bm^2
-    mod q over odd n.  If q divides bm, r stays 0 and q divides no
-    sigma(bm^2h), which is 1 mod q.  Otherwise the order ord of bm mod q
-    divides 2^deg q - 1, which is odd, so it is the first odd n with r = 1.
+    sigma(bm^2h) = (bm^n + 1)/(bm + 1) with n = 2h + 1 <= n_max = 2*h_count + 1.
+    Let r = bm mod q.  If r = 0, q divides bm and no sigma(bm^2h), which is
+    1 mod q.  If r = 1, every sigma(bm^2h) is n = 1 mod q.  Otherwise the
+    order ord of bm mod q divides 2^deg q - 1, the order of the unit group
+    of GF(2)[x]/q, which is odd; so ord is the first odd n with bm^n = 1 mod q.
     Let c_q = v_q(bm^ord + 1) - v_q(bm + 1).  If ord divides n, then with
     B = bm^ord, (bm^n + 1)/(B + 1) = 1 + B + ... + B^(n/ord - 1) = n/ord = 1
     mod q in characteristic 2, so q divides sigma(bm^2h) exactly c_q times.
     Otherwise q divides neither bm^n + 1 nor bm + 1 (else ord = 1), nor
-    sigma(bm^2h).  Each (bm, q) costs at most h_count mulmods mod q and one
-    _divide_out of bm^ord + 1; sigma(bm^2h) itself is never formed.
+    sigma(bm^2h).
+
+    Only an ord <= n_max matters, and such an ord is at most cap, the
+    largest divisor of 2^deg q - 1 that is <= n_max.  So stepping
+    r <- r*bm^2 mod q over odd n stops at cap, and does not start where
+    cap = 1.  Here r != 1, so ord > 1, v_q(bm + 1) = 0 and c_q =
+    v_q(bm^ord + 1) >= 1, with c_q >= 2 exactly when bm^ord = 1 mod q^2:
+    one power mod q^2 decides it, and only then is bm^ord + 1 formed and
+    divided out.  Each (bm, q) costs at most (cap - 1)/2 mulmods mod q and
+    one power mod q^2; sigma(bm^2h) itself is never formed.
     """
     n_max = 2 * h_count + 1
+    caps: dict[int, int] = {}  # deg q -> cap
     profile = []
     for q in masks:
-        step = _mod(_sqr(bm), q)
-        r, n = _mod(bm, q), 1
-        while r != 1 and n < n_max:
+        r, k = _mod(bm, q), q.bit_length() - 1
+        if k not in caps:
+            caps[k] = next(d for d in range(n_max, 0, -2) if ((1 << k) - 1) % d == 0)
+        if r < 2 or caps[k] == 1:
+            continue
+        step, n = _mod(_sqr(bm), q), 1
+        while r != 1 and n < caps[k]:
             r, n = _mod(_mul(r, step), q), n + 2
         if r == 1:
-            c = _divide_out(_pow(bm, n) ^ 1, q)[1] - _divide_out(bm ^ 1, q)[1]
-            if c:
-                profile.append((q, n, c))
+            c = 1 if _pow_mod(bm, n, _sqr(q)) != 1 else _divide_out(_pow(bm, n) ^ 1, q)[1]
+            profile.append((q, n, c))
     for h in range(1, h_count + 1):
         yield h, [(q, c) for q, order, c in profile if (2 * h + 1) % order == 0]
 

@@ -148,6 +148,20 @@ def _sqr_mod(a: int, m: int) -> int:
     return _mod(_sqr(a), m)
 
 
+def _pow_mod(a: int, k: int, m: int) -> int:
+    """a**k mod m by repeated squaring, reducing every product mod m."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    r, a = _mod(1, m), _mod(a, m)
+    while k:
+        if k & 1:
+            r = _mod(_mul(r, a), m)
+        k >>= 1
+        if k:
+            a = _sqr_mod(a, m)
+    return r
+
+
 def _derivative(a: int) -> int:
     """Formal derivative: keep odd-position coefficients, shifted down."""
     n = a.bit_length()

@@ -312,6 +312,19 @@ class TestRingOps:
         with pytest.raises(ValueError):
             p ** -1
 
+    def test_pow_mod_matches_reduced_pow(self):
+        """Seeded a of degree <= 40, k = 0..40 and m of degree 1..24, m = x and
+        m = x+1 included: the power mod m equals the full power reduced."""
+        rng = random.Random(13)
+        moduli = [2, 3] + [rng.getrandbits(25) | 2 for _ in range(40)]
+        for m in moduli:
+            for _ in range(5):
+                a, k = rand_poly(rng, 40).mask, rng.randrange(41)
+                for e in (0, k):
+                    assert gf2poly._pow_mod(a, e, m) == gf2poly._mod(gf2poly._pow(a, e), m), (a, e, m)
+        with pytest.raises(ValueError):
+            gf2poly._pow_mod(7, -1, 3)
+
     def test_squaring_interleaves_bits(self):
         rng = random.Random(7)
         for _ in range(500):
