@@ -337,11 +337,12 @@ def _even_sigma_valuations(bm: int, masks: Iterable[int], h_count: int) -> Itera
     Only an ord <= n_max matters, and such an ord is at most cap, the
     largest divisor of 2^deg q - 1 that is <= n_max.  So stepping
     r <- r*bm^2 mod q over odd n stops at cap, and does not start where
-    cap = 1.  Here r != 1, so ord > 1, v_q(bm + 1) = 0 and c_q =
-    v_q(bm^ord + 1) >= 1, with c_q >= 2 exactly when bm^ord = 1 mod q^2:
-    one power mod q^2 decides it, and only then is bm^ord + 1 formed and
-    divided out.  Each (bm, q) costs at most (cap - 1)/2 mulmods mod q and
-    one power mod q^2; sigma(bm^2h) itself is never formed.
+    cap = 1.  Past the r = 0 and r = 1 skips, ord > 1, so v_q(bm + 1) = 0
+    and c_q = v_q(bm^ord + 1) >= 1, with c_q >= 2 exactly when
+    bm^ord = 1 mod q^2: one power mod q^2 decides it, and only then is
+    bm^ord + 1 formed and divided out.  Each (bm, q) costs at most
+    (cap - 1)/2 mulmods mod q and one power mod q^2; sigma(bm^2h) itself is
+    never formed.
     """
     n_max = 2 * h_count + 1
     caps: dict[int, int] = {}  # deg q -> cap

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import random
+from itertools import cycle
 from pathlib import Path
 
 import pytest
@@ -147,7 +148,7 @@ def test_valuations_grid_is_pinned(family):
     roster = [p.mask for p in family]
     bases = [2, 3] + roster + random.Random(29).sample([t for t in small if t > 3 and t not in roster], 30)
     rows = [[t, h_count, list(_even_sigma_valuations(t, small, h_count))]
-            for i, t in enumerate(bases) for h_count in [GRID_H_COUNTS[i % len(GRID_H_COUNTS)]]]
+            for t, h_count in zip(bases, cycle(GRID_H_COUNTS))]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GRID_DIGEST
 
 
