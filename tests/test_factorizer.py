@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import sys
 import tracemalloc
@@ -190,6 +191,58 @@ def test_is_irreducible_matches_trial_division_to_degree_14():
     x^(2^d) == x (5 + 9 at d = 14) sees a composite."""
     primes = oracles.sieve_irreducibles(14)
     assert [m for m in range(2, 1 << 15) if is_irreducible(Poly(m))] == primes
+
+
+def test_is_irreducible_verdicts_are_pinned():
+    """is_irreducible over a seeded corpus of degree 6..525:
+
+    - random inputs, and smooth products of primes of degree <= 12;
+    - q * c with q prime of degree k = bit_length(deg) + 1 .. + 3 and every
+      prime of c of degree >= k: a large known irreducible c, or distinct
+      primes of degree 13;
+    - q * r with deg q = deg r = deg / 2 (r = q.bar() for the large q), and
+      q^2, q^3;
+    - known irreducibles f of degree 64, 127, 256 and 512, f.bar() and f.star().
+
+    Every constructed input's verdict is known; the "mask verdict" lines of
+    the whole corpus, random inputs included, are hashed."""
+    rng = random.Random("verdicts")
+    small = irreducibles(13)
+    big = [parse_expr(t) for t in ("x^64+x^4+x^3+x+1", "x^127+x+1", "x^127+x^63+1",
+                                   "x^256+x^10+x^5+x^2+1", "x^512+x^8+x^5+x^2+1")]
+    known = {}  # input -> expected verdict
+    for f in big:
+        known |= {f: True, f.bar(): True, f.star(): True}
+    for f in big[:4]:
+        known |= {f * f.bar(): False, f ** 2: False}
+    known |= {big[0] ** 3: False, big[1] ** 3: False}
+    for d in range(3, 14):
+        q, r = rng.sample([p for p in small if p.degree == d], 2)
+        known |= {q * r: False, q ** 2: False, q ** 3: False}
+    deg13 = [p for p in small if p.degree == 13]
+    cofactors = [*big, *(math.prod(rng.sample(deg13, rng.randint(4, 38)), start=ONE) for _ in range(4))]
+    for c in cofactors:
+        for off in (1, 2, 3):
+            k = (c.degree + 10).bit_length() + off
+            assert (c.degree + k).bit_length() + off == k <= 13
+            known[rng.choice([p for p in small if p.degree == k]) * c] = False
+    corpus = list(known)
+    for _ in range(100):
+        p = ONE
+        target = rng.randint(17, 512)
+        while p.degree < target:
+            p = p * rng.choice(small[:-len(deg13)])
+        corpus.append(p)
+        known[p] = False
+    for _ in range(300):
+        d = rng.randint(17, 512)
+        corpus.append(Poly(rng.getrandbits(d) | 1 << d))
+    verdicts = [is_irreducible(p) for p in corpus]
+    assert [v for p, v in zip(corpus, verdicts) if p in known] == [known[p] for p in corpus if p in known]
+    lines = "\n".join(f"{p.mask:x} {int(v)}" for p, v in zip(corpus, verdicts))
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert (len(corpus), sum(verdicts), digest) == (
+        485, 17, "c986d07bd21585cfbfc84eb29cc4172876d85046309eb328bd54348327bc6598")
 
 
 @pytest.fixture
