@@ -1,15 +1,17 @@
 """Deterministic irreducibility testing and factorization over GF(2).
 
-Irreducibility is Rabin's criterion: p of degree d is irreducible iff
-x^(2^d) == x (mod p) and gcd(x^(2^(d/r)) - x, p) = 1 for every prime r | d.
-Along the way it takes Ben-Or's early gcds, gcd(x^(2^i) - x, p) for
-i = 1..b with b = min(bit_length(d), d // 2), and returns False at the first
-one that is not 1.  That is sound for every i < d, and b < d for every
-d >= 1: the gcd is the product of p's distinct irreducible factors whose
-degree divides i, so it is 1 for an irreducible p, and anything else shows a
-factor of degree <= i < d.  A reducible p with a factor of degree <= b, which
-a random or smooth input usually has, stops after at most b squarings
-instead of d; an irreducible p pays at most b extra gcds.
+One loop, `_ddf`, does distinct-degree splitting: for i = 1, 2, ... it
+squares h = x^(2^i) mod f and takes gcd(h - x, f), which is the product of
+f's distinct primes whose degree divides i; with the primes of degree < i
+already divided out, it is the product of f's primes of degree i.  The loop
+stops at i = deg f / 2 of what is left, which is then one prime.
+
+Irreducibility is Ben-Or's criterion on that loop: p of degree d is
+irreducible iff its first part is all of p at degree d.  A reducible p has
+a prime of degree k <= d / 2, so its first part comes at k < d, even when
+that part is all of p (q * r with deg q = deg r) or only its root (q^2).
+An irreducible p pays d // 2 squarings and gcds; a reducible one stops at
+the degree of its least prime.
 
 Factorization loops over squarefree parts: while f != 1, f' = 0 means f is
 a square (characteristic 2), so f becomes its root and the multiplicity
@@ -37,46 +39,16 @@ __all__ = ["Factorization", "factor", "irreducibles", "is_irreducible", "is_squa
 # ---------------------------------------------------------------------------
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_irreducible_mask(p: int) -> bool:
     d = p.bit_length() - 1
     if d < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
-    x0 = _mod(2, p)
-    # Rabin's checkpoints d/r and the early gcds 1..b; d // 2 keeps b < d
-    checks = {d // r for r in _prime_divisors(d)} | set(range(1, min(d.bit_length(), d // 2) + 1))
-    h = x0
-    for i in range(1, d + 1):
-        h = _sqr_mod(h, p)
-        if i in checks and _gcd(h ^ x0, p) != 1:
-            return False
-    return h == x0
+    return next(_ddf(p)) == (d, p)
 
 
 def is_irreducible(p: Poly) -> bool:
-    """Rabin's irreducibility test with Ben-Or's early exit; raises for
-    constants and zero.
-
-    gcd(x^(2^i) - x, p) is taken for i = 1..min(bit_length(d), d // 2) as well
-    as at Rabin's checkpoints d/r, and one that is not 1 returns False at
-    once: it is the product of p's irreducible factors whose degree divides
-    i < d, which is 1 when p is irreducible.  So a reducible p with a small
-    factor returns after a few squarings, and an irreducible p pays at most
-    that many extra gcds.
-    """
+    """True iff p is irreducible, by Ben-Or's criterion (see the module
+    docstring); raises for constants and zero."""
     return _is_irreducible_mask(p.mask)
 
 
@@ -104,10 +76,10 @@ def _edf(g: int, d: int) -> list[int]:
     raise AssertionError("trace splitting exhausted the basis")  # unreachable
 
 
-def _factor_squarefree(s: int) -> list[int]:
-    """Factor a squarefree mask of degree >= 1 by distinct-degree splitting."""
-    out = []
-    f = s
+def _ddf(f: int) -> Iterator[tuple[int, int]]:
+    """(d, g) for each degree d at which the mask f of degree >= 1 has primes,
+    g their product, smallest d first, then (deg f, f) for the prime left; f
+    is squarefree, or only the first part is read (see the module docstring)."""
     h = _mod(2, f)
     d = 0
     while 2 * (d + 1) <= f.bit_length() - 1:
@@ -115,14 +87,12 @@ def _factor_squarefree(s: int) -> list[int]:
         h = _sqr_mod(h, f)
         g = _gcd(h ^ 2, f)
         if g != 1:
-            out.extend(_edf(g, d))
+            yield d, g
             f = _divmod(f, g)[0]
             if f == 1:
-                break
+                return
             h = _mod(h, f)
-    if f.bit_length() - 1 >= 1:
-        out.append(f)
-    return out
+    yield f.bit_length() - 1, f
 
 
 def _factor_mask(m: int) -> list[tuple[int, int]]:
@@ -133,9 +103,10 @@ def _factor_mask(m: int) -> list[tuple[int, int]]:
     while f != 1:
         fp = _derivative(f)
         if fp:  # divide out the odd-multiplicity primes in full; a square is left
-            for q in _factor_squarefree(_divmod(f, _gcd(f, fp))[0]):
-                f, e = _divide_out(f, q)
-                out.append((q, e * mult))
+            for d, g in _ddf(_divmod(f, _gcd(f, fp))[0]):
+                for q in _edf(g, d):
+                    f, e = _divide_out(f, q)
+                    out.append((q, e * mult))
         else:  # only even-position bits set: f is the square of its de-interleave
             f, mult = _sqrt(f), 2 * mult
     return sorted(out)  # mask order == (degree, mask) order
@@ -196,21 +167,15 @@ def rad(p: Poly) -> Poly:
 
 
 def is_squarefree(p: Poly) -> bool:
-    """True iff no prime divides p twice.
+    """True iff no prime divides p twice: gcd(p, p') = 1.
 
-    In characteristic 2 a vanishing derivative means p is a perfect square,
-    so any p of degree >= 1 with derivative 0 is not squarefree; otherwise
-    squarefreeness is gcd(p, p') = 1.
+    In characteristic 2 a square has derivative 0, and gcd(p, 0) = p, which
+    is 1 only for p = 1.
     """
     m = p.mask
     if m == 0:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    if m == 1:
-        return True
-    fp = _derivative(m)
-    if fp == 0:
-        return False
-    return _gcd(m, fp) == 1
+    return _gcd(m, _derivative(m)) == 1
 
 
 # ---------------------------------------------------------------------------

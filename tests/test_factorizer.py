@@ -186,9 +186,9 @@ def test_is_irreducible_basics():
 
 
 def test_is_irreducible_matches_trial_division_to_degree_14():
-    """Covers d = 1 and 2, where the early gcds must stop below d, and the
-    degrees where only a Rabin checkpoint (6 + 6 at d = 12) or only the final
-    x^(2^d) == x (5 + 9 at d = 14) sees a composite."""
+    """Covers d = 1, where the distinct-degree loop takes no step, and the
+    products of two primes of degree d / 2 (6 + 6 at d = 12, 7 + 7 at
+    d = 14), whose first part is p itself at the loop's last step."""
     primes = oracles.sieve_irreducibles(14)
     assert [m for m in range(2, 1 << 15) if is_irreducible(Poly(m))] == primes
 
@@ -260,11 +260,9 @@ def calls(monkeypatch):
 
 @pytest.mark.parametrize("d", [64, 256, 512])
 def test_planted_factor_is_found(d, calls):
-    """p = q * c with q irreducible of degree k = 1 .. bit_length(d) + 2.
-
-    While k is within the early-gcd bound (bit_length(d) at these degrees) the
-    test stops by the k-th squaring.  Past it, c is irreducible too, so no
-    early gcd sees a factor and Rabin's own gcds or final check must reject p."""
+    """p = q * c with q irreducible of degree k = 1 .. bit_length(d) + 2 stops
+    by the k-th squaring.  Past bit_length(d), c is drawn irreducible, so q
+    is p's least prime."""
     bound = d.bit_length()
     rng = random.Random(f"planted:{d}")
     small = oracles.sieve_irreducibles(bound + 2)
@@ -277,15 +275,14 @@ def test_planted_factor_is_found(d, calls):
         p = Poly(q) * Poly(c)
         calls.clear()
         assert not is_irreducible(p), k
-        if k <= bound:
-            assert calls["_sqr_mod"] <= k
+        assert calls["_sqr_mod"] <= k
 
 
 @pytest.mark.parametrize("text", ["x^127+x+1", "x^521+x^32+1", "x^607+x^105+1"])
-def test_irreducible_trinomials_pay_at_most_the_bound_in_extra_gcds(text, calls):
+def test_irreducible_trinomials_take_half_their_degree_in_squarings_and_gcds(text, calls):
     p = parse_expr(text)
     assert is_irreducible(p)
-    assert calls["_gcd"] <= len(factorizer._prime_divisors(p.degree)) + p.degree.bit_length()
+    assert calls == {"_sqr_mod": p.degree // 2, "_gcd": p.degree // 2}
 
 
 def test_is_squarefree_matches_exponents():
