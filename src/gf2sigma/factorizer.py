@@ -3,15 +3,15 @@
 One loop, `_ddf`, does distinct-degree splitting: for i = 1, 2, ... it
 squares h = x^(2^i) mod f and takes gcd(h - x, f), which is the product of
 f's distinct primes whose degree divides i; with the primes of degree < i
-already divided out, it is the product of f's primes of degree i.  The loop
-stops at i = deg f / 2 of what is left, which is then one prime.
+already divided out, it is the product of f's primes of degree i.  i runs
+up to half the degree of what is left, which is then one prime.
 
-Irreducibility is Ben-Or's criterion on that loop: p of degree d is
-irreducible iff its first part is all of p at degree d.  A reducible p has
-a prime of degree k <= d / 2, so its first part comes at k < d, even when
-that part is all of p (q * r with deg q = deg r) or only its root (q^2).
-An irreducible p pays d // 2 squarings and gcds; a reducible one stops at
-the degree of its least prime.
+Irreducibility is Ben-Or's criterion (M. Ben-Or, 1981) on that loop: p of
+degree d is irreducible iff its first part is all of p at degree d.  A
+reducible p has a prime of degree k <= d / 2, so its first part comes at
+k < d, even when that part is all of p (q * r with deg q = deg r) or only
+its root (q^2).  An irreducible p pays d // 2 squarings and gcds; a
+reducible one stops at the degree of its least prime.
 
 Factorization loops over squarefree parts: while f != 1, f' = 0 means f is
 a square (characteristic 2), so f becomes its root and the multiplicity

@@ -279,7 +279,7 @@ def test_planted_factor_is_found(d, calls):
 
 
 @pytest.mark.parametrize("text", ["x^127+x+1", "x^521+x^32+1", "x^607+x^105+1"])
-def test_irreducible_trinomials_take_half_their_degree_in_squarings_and_gcds(text, calls):
+def test_irreducible_trinomials_cost_half_their_degree(text, calls):
     p = parse_expr(text)
     assert is_irreducible(p)
     assert calls == {"_sqr_mod": p.degree // 2, "_gcd": p.degree // 2}
